@@ -36,9 +36,35 @@ func runChaos(c Case, stage *string, fail func(error) Result) Result {
 	}
 	res := Result{Case: c, Status: Pass, Gates: n.NumGates()}
 
-	hash, err := checkpoint.HashNetlist(n)
+	// The pipeline oracle runs the whole chaos pack as the cone executor of
+	// one scheduled extraction: the assembled result must yield exactly the
+	// planted P(x), with golden-model verification passing.
+	ext, _, err := extract.Scheduled(n, extract.Options{Threads: c.Threads},
+		func(n *netlist.Netlist, ro rewrite.Options) (*rewrite.Result, error) {
+			return chaosCones(n, ro, c, stage, &res)
+		})
 	if err != nil {
 		return fail(err)
+	}
+	*stage = "compare"
+	if !ext.P.Equal(c.P) {
+		return fail(fmt.Errorf("chaos: extracted %v, planted %v", ext.P, c.P))
+	}
+	if !ext.Verified {
+		return fail(fmt.Errorf("chaos: golden-model verification did not run"))
+	}
+	return res
+}
+
+// chaosCones is the chaos pack as a cone executor: a pool with aggressive
+// lease timings, drained by deliberately unreliable workers while a
+// partitioner force-expires live leases. The pool must terminate within
+// chaosCaseBudget with its epoch fence intact, or the case fails before
+// anything is assembled; the injected-fault counters land on res.
+func chaosCones(n *netlist.Netlist, ro rewrite.Options, c Case, stage *string, res *Result) (*rewrite.Result, error) {
+	hash, err := checkpoint.HashNetlist(n)
+	if err != nil {
+		return nil, err
 	}
 
 	// Aggressive timings: leases must expire, back off and be stolen many
@@ -51,14 +77,20 @@ func runChaos(c Case, stage *string, fail func(error) Result) Result {
 		BackoffBase:      time.Millisecond,
 		BackoffCap:       8 * time.Millisecond,
 		StealAge:         15 * time.Millisecond,
-		Seed:             c.Seed,
+		BudgetTerms:      ro.BudgetTerms, ConeDeadline: ro.ConeDeadline,
+		Prior: ro.Prior, OnResult: ro.OnBitDone,
+		Seed: c.Seed,
 	})
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
 	defer pool.Close()
 
-	ctx, cancel := context.WithTimeout(context.Background(), chaosCaseBudget)
+	base := ro.Ctx
+	if base == nil {
+		base = context.Background()
+	}
+	ctx, cancel := context.WithTimeout(base, chaosCaseBudget)
 	defer cancel()
 
 	ch := &chaosWorkers{
@@ -96,8 +128,9 @@ func runChaos(c Case, stage *string, fail func(error) Result) Result {
 	wg.Wait()
 	<-partDone
 	if waitErr != nil {
-		return fail(fmt.Errorf("chaos extraction did not terminate within %v: %w (stats %+v)",
-			chaosCaseBudget, waitErr, pool.Stats()))
+		// No result: a hung pool fails the case instead of being assembled.
+		return nil, fmt.Errorf("chaos extraction did not terminate within %v: %w (stats %+v)",
+			chaosCaseBudget, waitErr, pool.Stats())
 	}
 
 	stats := pool.Stats()
@@ -110,30 +143,17 @@ func runChaos(c Case, stage *string, fail func(error) Result) Result {
 	// The fence invariant: no cone accepted under two epochs, ever.
 	*stage = "fence"
 	if stats.DoubleAccepts != 0 {
-		return fail(fmt.Errorf("chaos: %d cone results double-accepted — the epoch fence is broken (stats %+v)",
-			stats.DoubleAccepts, stats))
+		return nil, fmt.Errorf("chaos: %d cone results double-accepted — the epoch fence is broken (stats %+v)",
+			stats.DoubleAccepts, stats)
 	}
 	if stats.Accepted != c.M {
-		return fail(fmt.Errorf("chaos: %d cones accepted for %d bits (stats %+v)", stats.Accepted, c.M, stats))
+		return nil, fmt.Errorf("chaos: %d cones accepted for %d bits (stats %+v)", stats.Accepted, c.M, stats)
 	}
 
-	// The pipeline oracle: the assembled result must yield exactly the
-	// planted P(x), with golden-model verification passing.
 	*stage = "assemble"
 	rw := pool.Result()
 	rw.Threads = chaosWorkerCount
-	ext, _, err := extract.FromRewriteResult(n, rw, extract.Options{Threads: c.Threads})
-	if err != nil {
-		return fail(err)
-	}
-	*stage = "compare"
-	if !ext.P.Equal(c.P) {
-		return fail(fmt.Errorf("chaos: extracted %v, planted %v", ext.P, c.P))
-	}
-	if !ext.Verified {
-		return fail(fmt.Errorf("chaos: golden-model verification did not run"))
-	}
-	return res
+	return rw, nil
 }
 
 const (

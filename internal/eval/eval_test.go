@@ -6,6 +6,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestTableISmallSizes(t *testing.T) {
@@ -37,28 +38,76 @@ func TestTableISmallSizes(t *testing.T) {
 	}
 }
 
+// TestTableIIShapeMontgomerySlower asserts the paper's central Table I vs
+// II shape — Montgomery extraction costs more than Mastrovito at equal m
+// (paper: 42.2s vs 9.2s at m=64) — on deterministic work counters, so it
+// holds on any machine: Montgomery performs more substitutions, and only
+// its reduction network produces mod-2 cancellations. The wall-clock form
+// is TestTableIIWallMontgomerySlower, run by the perf-guard CI job.
 func TestTableIIShapeMontgomerySlower(t *testing.T) {
-	mast, err := TableI([]int{64})
+	mast, mont := tableIIPair(t)
+	ms, mc := workTotals(mast)
+	ns, nc := workTotals(mont)
+	t.Logf("substitutions: Montgomery %d, Mastrovito %d; cancellations: Montgomery %d, Mastrovito %d", ns, ms, nc, mc)
+	if ns <= ms {
+		t.Errorf("Montgomery substitutions %d should exceed Mastrovito's %d at m=64", ns, ms)
+	}
+	if nc == 0 || mc != 0 {
+		t.Errorf("cancellations: Montgomery %d (want > 0), Mastrovito %d (want 0)", nc, mc)
+	}
+}
+
+// TestTableIIWallMontgomerySlower is the wall-clock form of the Table II
+// shape: best-of-3 Montgomery extraction at m=64 must take at least 1.3x
+// the best-of-3 Mastrovito time. Wall-clock ratios swing on loaded
+// machines, so it runs only with GFRE_PERF_GUARD=1, as the perf-guard CI
+// job does.
+func TestTableIIWallMontgomerySlower(t *testing.T) {
+	if os.Getenv("GFRE_PERF_GUARD") != "1" {
+		t.Skip("wall-clock guard: set GFRE_PERF_GUARD=1 to run")
+	}
+	var mastBest, montBest time.Duration
+	for i := 0; i < 3; i++ {
+		mast, mont := tableIIPair(t)
+		if i == 0 || mast.Runtime < mastBest {
+			mastBest = mast.Runtime
+		}
+		if i == 0 || mont.Runtime < montBest {
+			montBest = mont.Runtime
+		}
+	}
+	t.Logf("best of 3: Montgomery %v, Mastrovito %v (%.2fx)", montBest, mastBest, float64(montBest)/float64(mastBest))
+	if montBest < mastBest*13/10 {
+		t.Errorf("Montgomery (%v) should be >= 1.3x Mastrovito (%v) at m=64", montBest, mastBest)
+	}
+}
+
+// tableIIPair extracts the m=64 rows of Tables I and II.
+func tableIIPair(t *testing.T) (mast, mont Row) {
+	t.Helper()
+	mastRows, err := TableI([]int{64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mont, err := TableII([]int{64})
+	montRows, err := TableII([]int{64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !mont[0].OK {
-		t.Fatalf("Montgomery m=64 failed: %s", mont[0].Err)
+	for _, r := range []Row{mastRows[0], montRows[0]} {
+		if !r.OK {
+			t.Fatalf("%s m=64 failed: %s", r.Label, r.Err)
+		}
 	}
-	// The paper's central Table I vs II shape: Montgomery extraction is
-	// more expensive than Mastrovito at equal m (paper: 42.2s vs 9.2s at
-	// m=64). The packed ANF core narrowed our gap — most of the old spread
-	// was cone sorting and straggler scheduling, which it eliminated — so
-	// the guard asserts the ordering with a 1.3x margin rather than the
-	// historical 2x, which now trips on timing noise.
-	if mont[0].Runtime < mast[0].Runtime*13/10 {
-		t.Errorf("Montgomery (%v) should be >= 1.3x Mastrovito (%v) at m=64",
-			mont[0].Runtime, mast[0].Runtime)
+	return mastRows[0], montRows[0]
+}
+
+// workTotals sums a row's per-bit substitutions and cancellations.
+func workTotals(r Row) (subst, cancelled int) {
+	for _, b := range r.Bits {
+		subst += b.Substitutions
+		cancelled += b.Cancelled
 	}
+	return subst, cancelled
 }
 
 func TestTableIIISynthesisReducesCost(t *testing.T) {

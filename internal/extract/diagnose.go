@@ -28,6 +28,7 @@ import (
 	"github.com/galoisfield/gfre/internal/anf"
 	"github.com/galoisfield/gfre/internal/gf2poly"
 	"github.com/galoisfield/gfre/internal/netlist"
+	"github.com/galoisfield/gfre/internal/obs"
 	"github.com/galoisfield/gfre/internal/rewrite"
 )
 
@@ -111,60 +112,25 @@ const maxSuspects = 64
 // output cones, and localizes the damage. It always returns a Diagnosis
 // (even on error, with whatever was learned); the Extraction is non-nil
 // whenever rewriting produced usable bits.
-func Diagnose(n *netlist.Netlist, opts Options) (ext *Extraction, _ *Diagnosis, err error) {
-	if opts.PrefixA == "" {
-		opts.PrefixA = "a"
-	}
-	if opts.PrefixB == "" {
-		opts.PrefixB = "b"
-	}
-	m := len(n.Outputs())
-	diag := &Diagnosis{Tolerate: opts.Tolerate}
-	if m < 2 {
-		return nil, diag, fmt.Errorf("%w: %d outputs", ErrNotMultiplier, m)
-	}
-	// Root span for the fault-tolerant pipeline; same name as the strict
-	// path so trace consumers see one "extraction" tree either way.
-	root := opts.Recorder.StartSpan("extraction", map[string]int64{
-		"m": int64(m), "tolerate": int64(opts.Tolerate),
-	})
-	defer func() {
-		if err != nil {
-			root.SetStatus("error")
-		}
-		root.End()
-	}()
-	lint, err := preflight(n, &opts)
-	if err != nil {
-		return &Extraction{M: m, Lint: lint}, diag, err
-	}
-	a, b, err := identifyPorts(n, m, opts.PrefixA, opts.PrefixB)
-	if err != nil {
-		return nil, diag, err
-	}
+func Diagnose(n *netlist.Netlist, opts Options) (*Extraction, *Diagnosis, error) {
+	out, err := (&run{opts: opts, cones: rewrite.Outputs, term: termConsensus}).do(n)
+	return out.ext, out.diag, err
+}
 
-	rw, rwErr := rewriteCheckpointed(n, opts, true)
-	if rw != nil {
-		diag.Bits = bitDiagnoses(rw)
-		diag.FailedCones = append([]int(nil), rw.Failed...)
-	}
-	if rwErr != nil {
-		// Run-level failure: tolerance exceeded, caller context ended, or
-		// a structural error. The partial per-bit picture still tells the
-		// operator which cones died and why.
-		return nil, diag, rwErr
-	}
-	ext = &Extraction{M: m, AInputs: a, BInputs: b, Rewrite: rw, Diag: diag, Lint: lint}
-
-	rec := opts.Recorder
+// consensus is the fault-tolerant terminal stage: per-bit verdicts,
+// consensus arbitration, tampering marks and localization.
+func consensus(n *netlist.Netlist, ext *Extraction, diag *Diagnosis, rec *obs.Recorder) error {
+	rw := ext.Rewrite
+	diag.observe(rw)
+	ext.Diag = diag
 	span := rec.StartSpan("consensus", map[string]int64{
-		"m": int64(m), "tolerate": int64(opts.Tolerate), "failed": int64(len(rw.Failed)),
+		"m": int64(ext.M), "tolerate": int64(diag.Tolerate), "failed": int64(len(rw.Failed)),
 	})
-	p, tampered, tried, err := consensusP(rw, a, b, opts.Tolerate)
+	p, tampered, tried, err := consensusP(rw, ext.AInputs, ext.BInputs, diag.Tolerate)
 	span.End()
 	diag.CandidatesTried = tried
 	if err != nil {
-		return ext, diag, err
+		return err
 	}
 	ext.P = p
 	diag.P = p.String()
@@ -176,23 +142,22 @@ func Diagnose(n *netlist.Netlist, opts Options) (ext *Extraction, _ *Diagnosis, 
 	diag.Faults = len(rw.Failed) + len(tampered)
 	if diag.Faults == 0 {
 		ext.Verified = true
-		if err := finalizeCheckpoint(opts, ext); err != nil {
-			return ext, diag, err
-		}
-		return ext, diag, nil
+		return nil
 	}
-
 	span = rec.StartSpan("localize", map[string]int64{"deviating": int64(diag.Faults)})
 	diag.Suspects = localize(n, ext, diag)
 	span.End()
-	if err := finalizeCheckpoint(opts, ext); err != nil {
-		return ext, diag, err
-	}
-	return ext, diag, nil
+	return nil
 }
 
-// bitDiagnoses converts rewrite statuses into the per-bit verdicts;
-// tampering verdicts are refined later, once P(x) is known.
+// observe records the rewrite statuses as per-bit verdicts; tampering
+// verdicts are refined later, once P(x) is known.
+func (d *Diagnosis) observe(rw *rewrite.Result) {
+	d.Bits = bitDiagnoses(rw)
+	d.FailedCones = append([]int(nil), rw.Failed...)
+}
+
+// bitDiagnoses converts rewrite statuses into the per-bit verdicts.
 func bitDiagnoses(rw *rewrite.Result) []BitDiagnosis {
 	out := make([]BitDiagnosis, len(rw.Bits))
 	for i, br := range rw.Bits {

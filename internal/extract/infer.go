@@ -203,15 +203,16 @@ func InferPorts(n *netlist.Netlist, rw *rewrite.Result) (*InferredPorts, error) 
 // ReorderBits returns a copy of rw with the bit slice permuted into logical
 // order: element k of the result is the expression of z_k.
 func (ip *InferredPorts) ReorderBits(rw *rewrite.Result) *rewrite.Result {
-	out := &rewrite.Result{
-		Bits:    make([]rewrite.BitResult, len(rw.Bits)),
-		Runtime: rw.Runtime,
-		Threads: rw.Threads,
-	}
+	out := *rw
+	out.Bits = make([]rewrite.BitResult, len(rw.Bits))
+	out.Failed = nil
 	for k, pos := range ip.OutputOrder {
 		out.Bits[k] = rw.Bits[pos]
+		if out.Bits[k].Status.Failed() {
+			out.Failed = append(out.Failed, k)
+		}
 	}
-	return out
+	return &out
 }
 
 // IrreduciblePolynomialInferred reverse engineers P(x) from a multiplier
@@ -220,37 +221,6 @@ func (ip *InferredPorts) ReorderBits(rw *rewrite.Result) *rewrite.Result {
 // expressions before Algorithm 2 runs. Golden-model verification uses the
 // inferred mapping.
 func IrreduciblePolynomialInferred(n *netlist.Netlist, opts Options) (*Extraction, *InferredPorts, error) {
-	m := len(n.Outputs())
-	if m < 2 {
-		return nil, nil, fmt.Errorf("%w: %d outputs", ErrNotMultiplier, m)
-	}
-	lint, err := preflight(n, &opts)
-	if err != nil {
-		return &Extraction{M: m, Lint: lint}, nil, err
-	}
-	rw, err := rewrite.Outputs(n, opts.governedRewriteOptions(false))
-	if err != nil {
-		return nil, nil, err
-	}
-	span := opts.Recorder.StartSpan("infer-ports", nil)
-	ip, err := InferPorts(n, rw)
-	span.End()
-	if err != nil {
-		return nil, nil, err
-	}
-	ordered := ip.ReorderBits(rw)
-	ext := &Extraction{M: m, AInputs: ip.A, BInputs: ip.B, Rewrite: ordered, Lint: lint}
-	span = opts.Recorder.StartSpan("extract", map[string]int64{"m": int64(m)})
-	ext.P, err = FromExpressions(ordered, ip.A, ip.B)
-	span.End()
-	if err != nil {
-		return nil, ip, err
-	}
-	if !opts.SkipVerify {
-		if err := verifyObserved(n, ext, opts.Recorder); err != nil {
-			return ext, ip, err
-		}
-		ext.Verified = true
-	}
-	return ext, ip, nil
+	out, err := (&run{opts: opts, cones: rewrite.Outputs, term: termInferred}).do(n)
+	return out.ext, out.ports, err
 }

@@ -7,6 +7,7 @@ import (
 
 	"github.com/galoisfield/gfre/internal/checkpoint"
 	"github.com/galoisfield/gfre/internal/gen"
+	"github.com/galoisfield/gfre/internal/obs"
 	"github.com/galoisfield/gfre/internal/polytab"
 	"github.com/galoisfield/gfre/internal/rewrite"
 )
@@ -165,5 +166,71 @@ func TestExtractCancellationLeavesResumableSnapshot(t *testing.T) {
 	}
 	if !ext.P.Equal(p) {
 		t.Fatalf("post-cancel resume recovered %v, want %v", ext.P, p)
+	}
+}
+
+// TestEveryEntryPointCheckpointsUnderOneRootSpan: named-port, inferred,
+// diagnose and verify-against extraction all run the same pipeline, so each
+// writes a finalized snapshot, resumes from it with every cone reused, and
+// records its phases under exactly one "extraction" root span.
+func TestEveryEntryPointCheckpointsUnderOneRootSpan(t *testing.T) {
+	const m = 16
+	p, err := polytab.Default(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := gen.Mastrovito(m, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scrambled := scramble(t, n, 1)
+	for _, tc := range []struct {
+		name string
+		run  func(Options) (*Extraction, error)
+	}{
+		{"named", func(o Options) (*Extraction, error) { return IrreduciblePolynomial(n, o) }},
+		{"inferred", func(o Options) (*Extraction, error) {
+			ext, _, err := IrreduciblePolynomialInferred(scrambled, o)
+			return ext, err
+		}},
+		{"diagnose", func(o Options) (*Extraction, error) {
+			o.Tolerate = 1
+			ext, _, err := Diagnose(n, o)
+			return ext, err
+		}},
+		{"verify-against", func(o Options) (*Extraction, error) { return VerifyAgainst(n, p, o) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			for _, resume := range []bool{false, true} {
+				rec := obs.NewRecorder()
+				ext, err := tc.run(Options{
+					Recorder: rec, Checkpoint: checkpoint.NewManager(dir, 0), Resume: resume,
+				})
+				if err != nil {
+					t.Fatalf("resume=%v: %v", resume, err)
+				}
+				if !ext.P.Equal(p) || !ext.Verified {
+					t.Fatalf("resume=%v: recovered %v (verified %v), want %v", resume, ext.P, ext.Verified, p)
+				}
+				if roots := rec.TraceTree(); len(roots) != 1 || roots[0].Name != "extraction" {
+					var names []string
+					for _, r := range roots {
+						names = append(names, r.Name)
+					}
+					t.Fatalf("resume=%v: root spans %v, want one extraction", resume, names)
+				}
+				if reused := ext.Rewrite.Reused; resume && reused != m || !resume && reused != 0 {
+					t.Fatalf("resume=%v: reused %d cones", resume, reused)
+				}
+				snap, err := checkpoint.Load(dir)
+				if err != nil {
+					t.Fatalf("resume=%v: %v", resume, err)
+				}
+				if !snap.Complete || snap.P != p.String() || snap.DoneCones() != m {
+					t.Fatalf("resume=%v: snapshot complete=%v p=%q done=%d", resume, snap.Complete, snap.P, snap.DoneCones())
+				}
+			}
+		})
 	}
 }

@@ -319,9 +319,31 @@ func (n *Netlist) MarkOutput(name string, id int) error {
 // (see BenchmarkConeSort). Zero words skip 64 absent IDs at a time, so
 // small cones under a large root stay cheap. O(root/64 + cone + edges).
 func (n *Netlist) Cone(root int) []int {
-	seen := make([]uint64, root/64+1)
+	seen, count := n.coneSweep(root)
+	out := make([]int, 0, count)
+	for w, word := range seen {
+		base := w << 6
+		for word != 0 {
+			b := bits.TrailingZeros64(word)
+			word &^= 1 << uint(b)
+			out = append(out, base+b)
+		}
+	}
+	return out
+}
+
+// ConeSize returns len(n.Cone(root)) without materializing the IDs.
+func (n *Netlist) ConeSize(root int) int {
+	_, count := n.coneSweep(root)
+	return count
+}
+
+// coneSweep is the reachability sweep behind Cone and ConeSize: the
+// membership bitset over IDs 0..root and its population count.
+func (n *Netlist) coneSweep(root int) (seen []uint64, count int) {
+	seen = make([]uint64, root/64+1)
 	seen[root>>6] |= 1 << (uint(root) & 63)
-	count := 1
+	count = 1
 	for w := len(seen) - 1; w >= 0; w-- {
 		rem := seen[w]
 		for rem != 0 {
@@ -341,16 +363,7 @@ func (n *Netlist) Cone(root int) []int {
 			}
 		}
 	}
-	out := make([]int, 0, count)
-	for w, word := range seen {
-		base := w << 6
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &^= 1 << uint(b)
-			out = append(out, base+b)
-		}
-	}
-	return out
+	return seen, count
 }
 
 // Levels returns the logic depth of each gate (inputs and constants at 0)

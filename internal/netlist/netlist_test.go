@@ -148,6 +148,9 @@ func TestConeExtraction(t *testing.T) {
 	if len(cone1) != 9 {
 		t.Errorf("cone(z1) = %v (%d nodes), want 9", cone1, len(cone1))
 	}
+	if s0, s1 := n.ConeSize(z0), n.ConeSize(z1); s0 != len(cone0) || s1 != len(cone1) {
+		t.Errorf("ConeSize = %d, %d; want %d, %d", s0, s1, len(cone0), len(cone1))
+	}
 	// Cones are ascending (topological).
 	for i := 1; i < len(cone1); i++ {
 		if cone1[i] <= cone1[i-1] {

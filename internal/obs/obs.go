@@ -31,16 +31,19 @@
 //	{"ts":0.1001,"ev":"heap","v":{"heap_bytes":8437760,"watermark":9125888}}
 //
 // ts is seconds since the recorder was created. span/parent are span IDs:
-// spans form a tree (extraction → parse / preflight / rewrite → per-cone
-// children → extract / golden-model / verify), rendered by TraceTree.
+// spans form a tree, rendered by TraceTree. Every extraction — named-port,
+// inferred, diagnose, verify-against or sharded — is one "extraction" root
+// over preflight, rewrite (per-cone children), then extract / infer-ports /
+// consensus / localize, golden-model and verify; a caller's own phases,
+// such as the gfre command's parse, are sibling roots.
 // Events flowing through a Journal additionally carry a monotonic seq, the
 // resume cursor for SSE streaming; events from a per-job recorder (see
 // JobRecorder) carry the job ID in job.
 //
-// Well-known span names, in pipeline order: extraction, parse, preflight,
+// Well-known span names, in pipeline order: parse, extraction, preflight,
 // cone-sort, rewrite (with per-cone children named after the output bit),
-// extract, golden-model, verify, plus consensus / localize on the
-// fault-tolerant path and opt.simplify / opt.balance-xor / opt.techmap /
+// infer-ports, extract, golden-model, verify, plus consensus / localize on
+// the fault-tolerant path and opt.simplify / opt.balance-xor / opt.techmap /
 // opt.sweep inside the synthesis flow.
 // Well-known metrics: substitutions, cancellations (mod-2 eliminations),
 // live_terms (gauge; watermark = peak resident terms), workers_busy (gauge),

@@ -1,12 +1,11 @@
 // Extract is the lease-scheduled form of extract.IrreduciblePolynomial:
-// the same pipeline (preflight → rewrite → Algorithm 2 → golden model /
-// consensus), with the rewriting phase turned into a Pool of cone leases
-// executed by local workers and any remote peers reached through a Hub.
+// the one extraction pipeline (extract.Scheduled) with its cone executor
+// swapped for a Pool of cone leases, run by local workers and any remote
+// peers reached through a Hub.
 package shard
 
 import (
 	"context"
-	"errors"
 	"time"
 
 	"github.com/galoisfield/gfre/internal/checkpoint"
@@ -46,62 +45,38 @@ type ExtractOptions struct {
 // zombies, reuse) of the run; the Extraction/Diagnosis pair matches what
 // the monolithic extract paths produce for the same options.
 func Extract(n *netlist.Netlist, eopts extract.Options, sopts ExtractOptions) (*extract.Extraction, *extract.Diagnosis, Stats, error) {
-	m := len(n.Outputs())
-	rec := eopts.Recorder
-	root := rec.StartSpan("extraction", map[string]int64{"m": int64(m), "sharded": 1})
-	var rootErr error
-	defer func() {
-		if rootErr != nil {
-			root.SetStatus("error")
-		}
-		root.End()
-	}()
+	var stats Stats
+	ext, diag, err := extract.Scheduled(n, eopts, func(n *netlist.Netlist, ro rewrite.Options) (rw *rewrite.Result, err error) {
+		rw, stats, err = leaseCones(n, ro, sopts)
+		return rw, err
+	})
+	return ext, diag, stats, err
+}
 
-	lint, err := extract.Preflight(n, &eopts)
-	if err != nil {
-		rootErr = err
-		return &extract.Extraction{M: m, Lint: lint}, nil, Stats{}, err
-	}
-
+// leaseCones is the lease-pool cone executor: one Pool over n's outputs,
+// drained by local workers and any remote peers reached through the Hub.
+// The governed budget and deadline, the checkpoint seam's Prior and
+// OnBitDone hooks, and the caller's context all arrive on ro. A context
+// that ends mid-run still returns the pool's result, with unfinished cones
+// as cancelled bits.
+func leaseCones(n *netlist.Netlist, ro rewrite.Options, sopts ExtractOptions) (*rewrite.Result, Stats, error) {
 	hash, err := checkpoint.HashNetlist(n)
 	if err != nil {
-		rootErr = err
-		return nil, nil, Stats{}, err
+		return nil, Stats{}, err
 	}
-
-	// Checkpoint seam, mirroring extract's rewriteCheckpointed: Resume
-	// feeds the snapshot into Config.Prior, fresh runs Begin a snapshot,
-	// and every newly terminal cone lands in it through OnResult.
-	var (
-		prior    []rewrite.BitResult
-		onResult func(rewrite.BitResult)
-	)
-	if ckpt := eopts.Checkpoint; ckpt != nil {
-		if eopts.Resume {
-			if prior, err = ckpt.Restore(n); err != nil {
-				rootErr = err
-				return nil, nil, Stats{}, err
-			}
-		} else if err := ckpt.Begin(n); err != nil {
-			rootErr = err
-			return nil, nil, Stats{}, err
-		}
-		onResult = ckpt.Record
-	}
-
+	m := len(n.Outputs())
 	pool, err := NewPool(Config{
 		Hash: hash, Bits: m,
 		LeaseTTL: sopts.LeaseTTL, MaxConesPerLease: sopts.MaxCones,
 		MaxAttempts: sopts.MaxAttempts,
 		BackoffBase: sopts.BackoffBase, BackoffCap: sopts.BackoffCap,
 		StealAge:    sopts.StealAge,
-		BudgetTerms: eopts.BudgetTerms, ConeDeadline: eopts.ConeDeadline,
-		Store: sopts.Store, Prior: prior, OnResult: onResult,
-		Recorder: rec, Seed: sopts.Seed,
+		BudgetTerms: ro.BudgetTerms, ConeDeadline: ro.ConeDeadline,
+		Store: sopts.Store, Prior: ro.Prior, OnResult: ro.OnBitDone,
+		Recorder: ro.Recorder, Seed: sopts.Seed,
 	})
 	if err != nil {
-		rootErr = err
-		return nil, nil, Stats{}, err
+		return nil, Stats{}, err
 	}
 	defer pool.Close()
 
@@ -111,18 +86,17 @@ func Extract(n *netlist.Netlist, eopts extract.Options, sopts ExtractOptions) (*
 			key = hash
 		}
 		if err := sopts.Hub.Register(key, pool, n); err != nil {
-			rootErr = err
-			return nil, nil, Stats{}, err
+			return nil, Stats{}, err
 		}
 		defer sopts.Hub.Unregister(key)
 	}
 
-	ctx := eopts.Ctx
+	ctx := ro.Ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	start := time.Now()
-	span := rec.StartSpan("rewrite", map[string]int64{"bits": int64(m), "sharded": 1})
+	span := ro.Recorder.StartSpan("rewrite", map[string]int64{"bits": int64(m), "sharded": 1})
 	if sopts.Workers >= 0 {
 		workers := sopts.Workers
 		if workers == 0 {
@@ -132,7 +106,7 @@ func Extract(n *netlist.Netlist, eopts extract.Options, sopts ExtractOptions) (*
 		// last cone, which simply makes the local loop exit early.
 		RunWorkers(ctx, pool, n, WorkerConfig{
 			Workers: workers, MaxCones: sopts.MaxCones,
-			Rewrite: rewrite.Options{Recorder: rec, Threads: eopts.Threads},
+			Rewrite: rewrite.Options{Recorder: ro.Recorder, Threads: ro.Threads},
 		})
 	}
 	waitErr := pool.Wait(ctx)
@@ -141,27 +115,5 @@ func Extract(n *netlist.Netlist, eopts extract.Options, sopts ExtractOptions) (*
 	rw := pool.Result()
 	rw.Runtime = time.Since(start)
 	rw.Threads = sopts.Workers
-	stats := pool.Stats()
-	if ckpt := eopts.Checkpoint; ckpt != nil {
-		if serr := ckpt.Sync(); serr != nil && waitErr == nil {
-			waitErr = serr
-		}
-	}
-	// A cancelled/expired wait still assembles: pending cones surface as
-	// cancelled bits the consensus path can vote around. Other errors
-	// (checkpoint I/O) abort.
-	if waitErr != nil && !errors.Is(waitErr, context.Canceled) && !errors.Is(waitErr, context.DeadlineExceeded) {
-		rootErr = waitErr
-		return nil, nil, stats, waitErr
-	}
-
-	ext, diag, err := extract.FromRewriteResult(n, rw, eopts)
-	if ext != nil {
-		ext.Lint = lint
-	}
-	if err == nil && waitErr != nil {
-		err = waitErr
-	}
-	rootErr = err
-	return ext, diag, stats, err
+	return rw, pool.Stats(), waitErr
 }

@@ -12,6 +12,7 @@ import (
 	"github.com/galoisfield/gfre/internal/checkpoint"
 	"github.com/galoisfield/gfre/internal/extract"
 	"github.com/galoisfield/gfre/internal/gen"
+	"github.com/galoisfield/gfre/internal/obs"
 	"github.com/galoisfield/gfre/internal/polytab"
 	"github.com/galoisfield/gfre/internal/rewrite"
 )
@@ -448,9 +449,13 @@ func TestExtractShardedMatchesMonolithic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ext, diag, stats, err := Extract(n, extract.Options{}, ExtractOptions{Workers: 4, MaxCones: 3})
+		rec := obs.NewRecorder()
+		ext, diag, stats, err := Extract(n, extract.Options{Recorder: rec}, ExtractOptions{Workers: 4, MaxCones: 3})
 		if err != nil {
 			t.Fatalf("m=%d: %v", m, err)
+		}
+		if roots := rec.TraceTree(); len(roots) != 1 || roots[0].Name != "extraction" {
+			t.Errorf("m=%d: %d root spans, want one extraction", m, len(roots))
 		}
 		if !ext.P.Equal(p) {
 			t.Errorf("m=%d: extracted %v, want %v", m, ext.P, p)
@@ -466,6 +471,62 @@ func TestExtractShardedMatchesMonolithic(t *testing.T) {
 		}
 		if stats.DoubleAccepts != 0 {
 			t.Errorf("m=%d: double accepts: %+v", m, stats)
+		}
+	}
+}
+
+// TestExtractShardedCancelledRunAssemblesByConsensus: when the caller's
+// context ends mid-run, the cones the pool never settled are failed bits
+// and the run still assembles by consensus — recovering P(x) within the
+// tolerance and returning the context error, or reporting the consensus
+// failure at Tolerate 0.
+func TestExtractShardedCancelledRunAssemblesByConsensus(t *testing.T) {
+	p, err := polytab.Default(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := gen.Mastrovito(8, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := rewrite.Outputs(n, rewrite.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tol := range []int{0, 1} {
+		// A snapshot holding every cone but bit 0, and no worker to lease
+		// it: the cancelled wait leaves exactly bit 0 unsettled.
+		dir := t.TempDir()
+		mgr := checkpoint.NewManager(dir, 0)
+		if err := mgr.Begin(n); err != nil {
+			t.Fatal(err)
+		}
+		for _, br := range cold.Bits[1:] {
+			mgr.Record(br)
+		}
+		if err := mgr.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		ext, diag, _, err := Extract(n, extract.Options{
+			Ctx: ctx, Tolerate: tol, Checkpoint: checkpoint.NewManager(dir, 0), Resume: true,
+		}, ExtractOptions{Workers: -1})
+		if diag == nil || len(diag.FailedCones) != 1 || diag.FailedCones[0] != 0 {
+			t.Fatalf("tolerate %d: diagnosis %+v, want bit 0 failed", tol, diag)
+		}
+		switch tol {
+		case 0:
+			if !errors.Is(err, extract.ErrConsensus) {
+				t.Fatalf("tolerate 0: got %v, want ErrConsensus", err)
+			}
+		default:
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("tolerate %d: got %v, want context.Canceled", tol, err)
+			}
+			if ext == nil || !ext.P.Equal(p) {
+				t.Fatalf("tolerate %d: extraction %+v, want P = %v", tol, ext, p)
+			}
 		}
 	}
 }
