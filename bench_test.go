@@ -226,14 +226,16 @@ func BenchmarkExtract(b *testing.B) {
 	})
 }
 
-// BenchmarkConeSort isolates the per-bit cone construction that precedes
-// every backward-rewriting pass: topologically sorting the fan-in cone of
-// all 64 output bits of the Montgomery multiplier (the design where cone
-// overlap is heaviest — each MonPro output cone spans nearly the whole
-// circuit). Before the bitset-DFS rewrite this step cost more than the
-// rewriting itself at m=64 (206ms of a 377ms total); now it is a
-// counting-sort sweep over dense gate IDs and should stay an order of
-// magnitude below the rewrite time reported by BenchmarkTableII.
+// BenchmarkConeSort isolates cone construction: topologically sorting the
+// fan-in cone of all 64 output bits of the Montgomery multiplier (the
+// design where cone overlap is heaviest — each MonPro output cone spans
+// nearly the whole circuit). Backward rewriting no longer builds cones —
+// its descending sweep reaches only the fanins of gates it substitutes —
+// so Cone now serves the retry ladder's alternative order, trojan
+// diagnosis, opt and diffcheck. It once cost more than the rewriting
+// itself at m=64 (206ms of a 377ms total); the descending bitset sweep over
+// dense gate IDs should keep it an order of magnitude below the rewrite
+// time reported by BenchmarkTableII.
 func BenchmarkConeSort(b *testing.B) {
 	p, _ := gfre.NISTPolynomial(64)
 	n, err := gfre.NewMontgomery(64, p)

@@ -422,7 +422,7 @@ func TestRunProgressAndMetrics(t *testing.T) {
 	if counts["heap"] == 0 {
 		t.Errorf("no heap samples in %v", counts)
 	}
-	for _, phase := range []string{"parse", "cone-sort", "rewrite", "extract", "golden-model", "verify"} {
+	for _, phase := range []string{"parse", "extraction", "rewrite", "extract", "golden-model", "verify"} {
 		if !spans[phase] {
 			t.Errorf("phase span %q missing from event stream (have %v)", phase, spans)
 		}

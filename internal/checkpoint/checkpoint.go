@@ -387,12 +387,24 @@ func Save(dir string, s *Snapshot) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(dir, SnapshotFile+".tmp*")
+	return WriteFileAtomic(filepath.Join(dir, SnapshotFile), func(w io.Writer) error {
+		return Encode(w, s)
+	})
+}
+
+// WriteFileAtomic durably replaces path with what write produces: it writes
+// a temp file in the same directory, fsyncs it, renames it over path and
+// fsyncs the directory so the rename itself survives a crash. Readers see
+// either the old file or the new one, never a torn write, and no temp file
+// is left behind, also when write fails.
+func WriteFileAtomic(path string, write func(io.Writer) error) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := Encode(tmp, s); err != nil {
+	if err := write(tmp); err != nil {
 		tmp.Close()
 		return err
 	}
@@ -403,21 +415,16 @@ func Save(dir string, s *Snapshot) error {
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, SnapshotFile)); err != nil {
+	if err := os.Rename(tmp.Name(), path); err != nil {
 		return err
 	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs the directory so the rename itself is durable.
-func syncDir(dir string) error {
+	// Some platforms refuse fsync on directories; the rename is still
+	// atomic there, just not yet durable, which is the platform's floor.
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
 	}
 	defer d.Close()
-	// Some platforms refuse fsync on directories; the rename is still
-	// atomic there, just not yet durable, which is the platform's floor.
 	if err := d.Sync(); err != nil && !errors.Is(err, os.ErrInvalid) {
 		return err
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/base64"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -270,6 +271,47 @@ func TestLoadRejectsTruncatedFile(t *testing.T) {
 	if _, err := Load(dir); !errors.Is(err, ErrCheckpoint) {
 		t.Fatalf("truncated file: got %v, want ErrCheckpoint", err)
 	}
+}
+
+// TestWriteFileAtomicReplaces: a successful write replaces the existing
+// file; a failing one leaves it untouched. Neither leaves a temp file.
+func TestWriteFileAtomicReplaces(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "state.json")
+	if err := os.WriteFile(path, []byte("old"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	writeString := func(s string) func(io.Writer) error {
+		return func(w io.Writer) error {
+			_, err := io.WriteString(w, s)
+			return err
+		}
+	}
+	if err := WriteFileAtomic(path, writeString("new")); err != nil {
+		t.Fatal(err)
+	}
+	assertFile := func(want string) {
+		t.Helper()
+		if got, err := os.ReadFile(path); err != nil || string(got) != want {
+			t.Fatalf("file holds %q (%v), want %q", got, err, want)
+		}
+		if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp*")); len(tmps) != 0 {
+			t.Fatalf("temp files left behind: %v", tmps)
+		}
+	}
+	assertFile("new")
+
+	boom := errors.New("disk full")
+	err := WriteFileAtomic(path, func(w io.Writer) error {
+		if err := writeString("torn")(w); err != nil {
+			return err
+		}
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want the write's error", err)
+	}
+	assertFile("new")
 }
 
 func TestManagerRecordRestore(t *testing.T) {

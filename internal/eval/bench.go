@@ -39,7 +39,7 @@ type BenchPhase struct {
 type BenchBit struct {
 	Bit       int     `json:"bit"`
 	Name      string  `json:"name"`
-	Cone      int     `json:"cone"`
+	Cone      int     `json:"cone"` // cone gates the rewriting sweep reached
 	Subst     int     `json:"subst"`
 	Peak      int     `json:"peak"`
 	Final     int     `json:"final"`

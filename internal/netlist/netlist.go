@@ -305,55 +305,66 @@ func (n *Netlist) MarkOutput(name string, id int) error {
 // Cone returns the gate IDs in the transitive fanin of root (root included),
 // in ascending — hence topological — order. Per Theorem 2 of the paper,
 // backward rewriting of one output bit only ever touches its cone.
-//
-// Membership is tracked in a bitset over the dense ID space. Fanins are
-// always smaller than their readers, so only IDs ≤ root need representing,
-// and — the key property — a single descending sweep over the IDs settles
-// reachability: by the time the sweep reaches gate id, every reader of id
-// has already been processed, so id's membership bit is final. The sweep
-// visits gates in decreasing ID order, which walks the gate table
-// sequentially instead of in DFS stack order; on Montgomery netlists (whose
-// per-bit cones approach the full ~m²-gate netlist) that cache locality is
-// worth ~10x over the explicit-stack DFS this replaced, which itself
-// replaced a map+sort.Ints implementation that dominated whole extractions
-// (see BenchmarkConeSort). Zero words skip 64 absent IDs at a time, so
-// small cones under a large root stay cheap. O(root/64 + cone + edges).
 func (n *Netlist) Cone(root int) []int {
-	seen, count := n.coneSweep(root)
-	out := make([]int, 0, count)
-	for w, word := range seen {
-		base := w << 6
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &^= 1 << uint(b)
-			out = append(out, base+b)
-		}
-	}
+	// Size first, then fill from the back: the sweep is descending.
+	out := make([]int, n.ConeSize(root))
+	i := len(out)
+	n.Descend(root, func(id int) (bool, error) {
+		i--
+		out[i] = id
+		return true, nil
+	})
 	return out
 }
 
 // ConeSize returns len(n.Cone(root)) without materializing the IDs.
 func (n *Netlist) ConeSize(root int) int {
-	_, count := n.coneSweep(root)
+	count, _ := n.Descend(root, nil)
 	return count
 }
 
-// coneSweep is the reachability sweep behind Cone and ConeSize: the
-// membership bitset over IDs 0..root and its population count.
-func (n *Netlist) coneSweep(root int) (seen []uint64, count int) {
-	seen = make([]uint64, root/64+1)
-	seen[root>>6] |= 1 << (uint(root) & 63)
-	count = 1
-	for w := len(seen) - 1; w >= 0; w-- {
-		rem := seen[w]
+// Descend sweeps the transitive fanin of root in descending ID order — a
+// reverse topological order, since every fanin ID is smaller than its
+// readers — and calls visit once on every gate it reaches. Root is
+// reached; a gate's fanins are reached only when visit returns expand =
+// true for it. A nil visit expands every gate, so the sweep reaches the
+// whole cone. When the sweep pops a gate, every reader of it has already
+// been visited, so its reached bit is final. This is exactly the schedule
+// Algorithm 1 needs: backward rewriting expands only the gates it
+// substituted, and never looks at the rest of the cone.
+//
+// Pending gates are a bitset over IDs 0..root. The sweep walks it one word
+// at a time from the top, which reads the gate table sequentially instead
+// of in DFS stack order, and zero words skip 64 absent IDs at once, so
+// small sweeps under a large root stay cheap. O(root/64 + reached +
+// expanded edges). Descend returns the number of gates reached and stops
+// at the first error visit returns; the count then includes reached gates
+// the sweep had not visited yet.
+func (n *Netlist) Descend(root int, visit func(id int) (expand bool, err error)) (reached int, err error) {
+	gates := n.gates // hoisted: across a visit call n.gates would be reloaded per gate
+	pending := make([]uint64, root/64+1)
+	pending[root>>6] |= 1 << (uint(root) & 63)
+	reached = 1
+	for w := len(pending) - 1; w >= 0; w-- {
+		rem := pending[w]
 		for rem != 0 {
 			b := 63 - bits.LeadingZeros64(rem)
 			rem &^= 1 << uint(b)
-			for _, f := range n.gates[w<<6+b].Fanin {
+			id := w<<6 + b
+			if visit != nil {
+				expand, err := visit(id)
+				if err != nil {
+					return reached, err
+				}
+				if !expand {
+					continue
+				}
+			}
+			for _, f := range gates[id].Fanin {
 				fw, fb := f>>6, uint64(1)<<(uint(f)&63)
-				if seen[fw]&fb == 0 {
-					seen[fw] |= fb
-					count++
+				if pending[fw]&fb == 0 {
+					pending[fw] |= fb
+					reached++
 					if fw == w {
 						// A fanin below b in the current word: fold it into
 						// the in-progress descent so it is not skipped.
@@ -363,7 +374,7 @@ func (n *Netlist) coneSweep(root int) (seen []uint64, count int) {
 			}
 		}
 	}
-	return seen, count
+	return reached, nil
 }
 
 // Levels returns the logic depth of each gate (inputs and constants at 0)

@@ -41,14 +41,16 @@
 // JobRecorder) carry the job ID in job.
 //
 // Well-known span names, in pipeline order: parse, extraction, preflight,
-// cone-sort, rewrite (with per-cone children named after the output bit),
-// infer-ports, extract, golden-model, verify, plus consensus / localize on
-// the fault-tolerant path and opt.simplify / opt.balance-xor / opt.techmap /
-// opt.sweep inside the synthesis flow.
+// rewrite (with per-cone children named after the output bit), infer-ports,
+// extract, golden-model, verify, plus consensus / localize on the
+// fault-tolerant path and opt.simplify / opt.balance-xor / opt.techmap /
+// opt.sweep inside the synthesis flow. Every span is a wall-clock interval
+// inside its parent's; CPU time summed over workers belongs in a counter,
+// never in a span.
 // Well-known metrics: substitutions, cancellations (mod-2 eliminations),
 // live_terms (gauge; watermark = peak resident terms), workers_busy (gauge),
-// bits_done, cone_sort_ns, heap_bytes (gauge; watermark = heap high-water
-// from runtime.ReadMemStats), the peak_terms / bit_dur_ns histograms, and
+// bits_done, heap_bytes (gauge; watermark = heap high-water from
+// runtime.ReadMemStats), the peak_terms / bit_dur_ns histograms, and
 // the resource-governance counters cone_retries (budget aborts re-attempted
 // under the alternative substitution order) and cone_aborts (cones ended
 // without an expression). Each abort additionally emits a cone_abort event
@@ -439,28 +441,6 @@ func (r *Recorder) popOpen(s *Span) {
 	r.mu.Unlock()
 }
 
-// RecordSpan records an already-measured phase (used for phases whose cost
-// is accumulated across workers rather than bracketed on one goroutine,
-// like the per-bit cone sorts; the duration is then CPU time summed over
-// workers, not wall time). The record parents under the innermost open
-// phase span.
-func (r *Recorder) RecordSpan(name string, d time.Duration) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	parent := int64(0)
-	if n := len(r.open); n > 0 {
-		parent = r.open[n-1].id
-	}
-	id := r.ids.Add(1)
-	r.mu.Unlock()
-	r.recordSpan(SpanRecord{Name: name, Start: time.Since(r.start) - d, Duration: d,
-		ID: id, Parent: parent})
-	r.emitEvent(Event{Ev: EvSpanEnd, Name: name, Span: id, Parent: parent,
-		V: map[string]int64{"dur_ns": int64(d)}})
-}
-
 func (r *Recorder) recordSpan(sr SpanRecord) {
 	r.mu.Lock()
 	r.spans = append(r.spans, sr)
@@ -489,7 +469,7 @@ func (r *Recorder) BitStart(bit int, name string) {
 type BitStats struct {
 	Bit           int
 	Name          string
-	ConeGates     int
+	ConeGates     int // cone gates the rewriting sweep reached (BENCH "cone")
 	Substitutions int
 	PeakTerms     int
 	FinalTerms    int

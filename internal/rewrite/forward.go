@@ -69,7 +69,7 @@ func Forward(n *netlist.Netlist) (*Result, error) {
 		// Forward abstraction holds every gate's expression at once; the
 		// whole-pass resident term count is the honest "peak" for each bit.
 		br.PeakTerms = resident
-		br.ConeGates = len(n.Cone(root))
+		br.ConeGates = n.ConeSize(root)
 		res.Bits[i] = br
 	}
 	res.Runtime = time.Since(start)

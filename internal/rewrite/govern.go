@@ -139,7 +139,7 @@ func rewriteGoverned(n *netlist.Netlist, root int, h *hooks, opts Options, ctx c
 		gov.deadline = time.Now().Add(opts.ConeDeadline)
 	}
 	br, err := rewriteSafe(n, root, h, gov, nil)
-	if err == nil || opts.NoRetry || !errors.Is(err, ErrBudgetExceeded) {
+	if err == nil || !errors.Is(err, ErrBudgetExceeded) {
 		return br, err, false
 	}
 	// Budget abort: substitution order changes which products meet which,

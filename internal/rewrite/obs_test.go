@@ -128,8 +128,9 @@ func TestOutputsWithRecorder(t *testing.T) {
 		}
 	}
 
-	// Span bookkeeping: one rewrite span (wall), one cone-sort span (CPU),
-	// and one child span per output cone parented under rewrite.
+	// Span bookkeeping: one rewrite span and one child span per output cone
+	// parented under rewrite, and nothing else: every span is a wall-clock
+	// interval.
 	var rewriteStarts, coneStarts []obs.Event
 	for _, e := range mem.ByType(obs.EvSpanStart) {
 		if e.Name == "rewrite" {
@@ -154,7 +155,7 @@ func TestOutputsWithRecorder(t *testing.T) {
 	coneSpans := 0
 	for _, sp := range rec.Spans() {
 		spanNames[sp.Name] = true
-		if sp.Parent != 0 && sp.Parent == rewriteStarts[0].Span && sp.Name != "cone-sort" {
+		if sp.Parent != 0 && sp.Parent == rewriteStarts[0].Span {
 			coneSpans++
 			if sp.Status != string(StatusOK) {
 				t.Errorf("cone span %q status %q", sp.Name, sp.Status)
@@ -167,8 +168,8 @@ func TestOutputsWithRecorder(t *testing.T) {
 	if coneSpans != m {
 		t.Errorf("cone child spans recorded: %d, want %d", coneSpans, m)
 	}
-	if !spanNames["rewrite"] || !spanNames["cone-sort"] {
-		t.Errorf("spans %v, want rewrite and cone-sort", spanNames)
+	if !spanNames["rewrite"] || len(rec.Spans()) != m+1 {
+		t.Errorf("spans %v, want rewrite plus %d cones", spanNames, m)
 	}
 
 	// Metric consistency with the returned result.

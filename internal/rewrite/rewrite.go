@@ -3,10 +3,12 @@
 // parallelized across output bits per Theorem 2.
 //
 // For each primary output z, the engine starts from the polynomial F₀ = z
-// and walks the output's transitive-fanin cone in reverse topological order,
-// substituting every gate-output variable by the gate's algebraic model
+// and sweeps gate IDs downward (a reverse topological order), substituting
+// every gate-output variable still in F by the gate's algebraic model
 // (Eq. 1) with immediate mod-2 simplification, until only primary-input
-// variables remain. Because GF(2^m) multipliers have no carry chain,
+// variables remain. The sweep reaches only the fanins of gates it
+// substituted, so cone gates whose variables cancelled away are never
+// looked at. Because GF(2^m) multipliers have no carry chain,
 // cancellations never cross cones (Theorem 2), so output bits are processed
 // by an independent worker each — the "extraction in n threads" of the
 // paper's title claim, with a configurable pool size like the paper's
@@ -18,7 +20,6 @@ package rewrite
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -37,9 +38,9 @@ type Options struct {
 	// The paper's experiments use 16.
 	Threads int
 	// Recorder receives telemetry: per-bit start/finish events, the
-	// rewrite and cone-sort phase spans, and the substitutions /
-	// cancellations / live_terms / workers_busy metrics. nil disables
-	// instrumentation at negligible cost.
+	// rewrite phase span with one child span per cone, and the
+	// substitutions / cancellations / live_terms / workers_busy metrics.
+	// nil disables instrumentation at negligible cost.
 	Recorder *obs.Recorder
 
 	// Ctx cancels the whole run cooperatively: in-flight cones stop at the
@@ -52,9 +53,6 @@ type Options struct {
 	// polynomial; exceeding it aborts the cone with a *BudgetError
 	// (errors.Is ErrBudgetExceeded). 0 disables the budget.
 	BudgetTerms int
-	// NoRetry disables the retry ladder: budget-aborted cones are not
-	// re-attempted under the alternative substitution order.
-	NoRetry bool
 	// KeepPartial makes Outputs survive individual cone failures: failed
 	// bits carry a Status and empty Expr, healthy bits complete normally,
 	// and the Result comes back with a nil error as long as the failure
@@ -86,7 +84,7 @@ type Options struct {
 type BitStats struct {
 	Bit           int           // output position
 	Name          string        // output port name
-	ConeGates     int           // gates in the output's transitive fanin
+	ConeGates     int           // cone gates the rewriting sweep reached
 	Substitutions int           // rewriting iterations actually performed
 	PeakTerms     int           // largest intermediate polynomial size
 	FinalTerms    int           // terms in the extracted expression
@@ -177,7 +175,6 @@ type hooks struct {
 	rec    *obs.Recorder
 	subst  *obs.Counter // substitutions performed
 	cancel *obs.Counter // terms eliminated mod 2
-	coneNs *obs.Counter // cone sorting, CPU ns summed over workers
 	live   *obs.Gauge   // resident terms across all in-flight bits
 	busy   *obs.Gauge   // workers currently rewriting a bit
 	retry  *obs.Counter // cone_retries: budget aborts re-attempted
@@ -193,7 +190,6 @@ func newHooks(rec *obs.Recorder) *hooks {
 		rec:    rec,
 		subst:  m.Counter("substitutions"),
 		cancel: m.Counter("cancellations"),
-		coneNs: m.Counter("cone_sort_ns"),
 		live:   m.Gauge("live_terms"),
 		busy:   m.Gauge("workers_busy"),
 		retry:  m.Counter("cone_retries"),
@@ -306,68 +302,18 @@ func Outputs(n *netlist.Netlist, opts Options) (*Result, error) {
 					}
 					continue
 				}
-				rec.BitStart(bit, names[bit])
-				// Per-cone child span under the rewrite phase: concurrent
-				// siblings in the trace tree, one per output bit. Child is
-				// nil-safe and the attrs ride on EndWith, so the nil-recorder
-				// path stays allocation-free.
-				coneSpan := span.Child(names[bit], nil)
-				h.busyAdd(1)
-				br, err, retried := rewriteGoverned(n, outs[bit], h, opts, ctx)
-				h.busyAdd(-1)
+				br, err, retried := runCone(n, bit, outs[bit], names[bit], h, span, opts, ctx)
 				if retried {
 					retries.Add(1)
 				}
-				br.Bit = bit
-				br.Name = names[bit]
-				if coneSpan != nil {
-					retriedV := int64(0)
-					if retried {
-						retriedV = 1
-					}
-					if br.Status != "" {
-						coneSpan.SetStatus(string(br.Status))
-					} else if err == nil {
-						coneSpan.SetStatus(string(StatusOK))
-					} else {
-						coneSpan.SetStatus(string(StatusError))
-					}
-					coneSpan.EndWith(map[string]int64{
-						"bit": int64(bit), "cone_gates": int64(br.ConeGates),
-						"subst": int64(br.Substitutions), "peak_terms": int64(br.PeakTerms),
-						"cancelled": int64(br.Cancelled), "retries": retriedV,
-					})
-				}
-				if err == nil {
-					br.Status = StatusOK
-					res.Bits[bit] = br
-					if opts.OnBitDone != nil {
-						opts.OnBitDone(br)
-					}
-					rec.BitFinish(obs.BitStats{
-						Bit: br.Bit, Name: br.Name, ConeGates: br.ConeGates,
-						Substitutions: br.Substitutions, PeakTerms: br.PeakTerms,
-						FinalTerms: br.FinalTerms, Cancelled: br.Cancelled,
-						Duration: br.Runtime,
-					})
-					continue
-				}
-				if be := (*BudgetError)(nil); errors.As(err, &be) {
-					be.Bit, be.Name = bit, names[bit]
-				}
-				if br.Status == "" || br.Status == StatusOK {
-					br.Status = StatusError
-				}
-				br.Err = err.Error()
 				res.Bits[bit] = br
 				if opts.OnBitDone != nil {
 					opts.OnBitDone(br)
 				}
-				h.countAbort(br)
-				if br.Status == StatusCancelled {
-					// Collateral of someone else's failure (or the
-					// caller's context): not this cone's fault and not a
-					// tolerated-failure slot.
+				if err == nil || br.Status == StatusCancelled {
+					// A cancelled cone is collateral of someone else's
+					// failure (or the caller's context): not this cone's
+					// fault and not a tolerated-failure slot.
 					continue
 				}
 				n := failures.Add(1)
@@ -411,11 +357,6 @@ func Outputs(n *netlist.Netlist, opts Options) (*Result, error) {
 		}
 	}
 	res.Runtime = time.Since(start)
-	if h != nil {
-		// Cone sorting runs inside the workers; its span is CPU time summed
-		// across them, not a wall-clock bracket.
-		rec.RecordSpan("cone-sort", time.Duration(h.coneNs.Value()))
-	}
 	span.End()
 	if fatalErr != nil {
 		return res, fatalErr
@@ -440,15 +381,12 @@ func Output(n *netlist.Netlist, root int) (BitResult, error) {
 
 // rewriteOutput runs Algorithm 1 on root's cone. gov (may be nil) enforces
 // the per-cone resource policy; order (may be nil) overrides the default
-// descending-ID substitution schedule with an explicit linear extension.
+// descending sweep with an explicit reverse-topological schedule.
 func rewriteOutput(n *netlist.Netlist, root int, h *hooks, gov *governor, order []int) (BitResult, error) {
 	start := time.Now()
-	cone := n.Cone(root)
 	br := BitResult{}
 	br.Bit = -1
-	br.ConeGates = len(cone)
 	if h != nil {
-		h.coneNs.Add(int64(time.Since(start)))
 		h.live.Add(1) // F₀ = z
 	}
 
@@ -461,14 +399,12 @@ func rewriteOutput(n *netlist.Netlist, root int, h *hooks, gov *governor, order 
 		defer func() { h.live.Add(-int64(f.Len())) }()
 	}
 
-	// Reverse topological order: cone is ascending and every fanin ID is
-	// smaller than its reader, so walking backwards guarantees each gate
-	// variable is eliminated before its fanins are visited. An explicit
-	// order replaces the walk with its own schedule (already reversed).
-	step := func(id int) error {
+	// step substitutes gate id if its variable is still in F and reports
+	// whether it did: only then can its fanins enter F.
+	step := func(id int) (bool, error) {
 		g := n.Gate(id)
 		if g.Type == netlist.Input {
-			return nil
+			return false, nil
 		}
 		if id == testPanicOutput {
 			panic(fmt.Sprintf("test-injected panic at gate %d", id))
@@ -477,15 +413,15 @@ func rewriteOutput(n *netlist.Netlist, root int, h *hooks, gov *governor, order 
 		k := f.VarOccurrences(v)
 		if k == 0 {
 			// The gate's contribution cancelled out earlier; nothing to do.
-			return nil
+			return false, nil
 		}
 		if st, err := gov.poll(); err != nil {
 			br.Status = st
-			return err
+			return false, err
 		}
 		e, err := n.GateANF(id, varOf)
 		if err != nil {
-			return fmt.Errorf("rewrite: gate %d (%s): %w", id, n.NameOf(id), err)
+			return false, fmt.Errorf("rewrite: gate %d (%s): %w", id, n.NameOf(id), err)
 		}
 		before := f.Len()
 		f.Substitute(v, e)
@@ -506,25 +442,28 @@ func rewriteOutput(n *netlist.Netlist, root int, h *hooks, gov *governor, order 
 		}
 		if gov.charge(after) {
 			br.Status = StatusBudget
-			return &BudgetError{Bit: -1, Name: n.NameOf(root),
+			return false, &BudgetError{Bit: -1, Name: n.NameOf(root),
 				Terms: after, Budget: gov.budget, Substitutions: br.Substitutions}
 		}
-		return nil
+		return true, nil
 	}
+	// Reverse topological order: every gate variable is eliminated before
+	// its fanins are looked at. The default sweep reaches only the fanins
+	// of gates it substituted, since no other gate's variable can be in F.
+	var err error
 	if order == nil {
-		for i := len(cone) - 1; i >= 0; i-- {
-			if err := step(cone[i]); err != nil {
-				br.Runtime = time.Since(start)
-				return br, err
-			}
-		}
+		br.ConeGates, err = n.Descend(root, step)
 	} else {
+		br.ConeGates = len(order)
 		for _, id := range order {
-			if err := step(id); err != nil {
-				br.Runtime = time.Since(start)
-				return br, err
+			if _, err = step(id); err != nil {
+				break
 			}
 		}
+	}
+	if err != nil {
+		br.Runtime = time.Since(start)
+		return br, err
 	}
 
 	// Sanity: only primary-input variables may remain (Theorem 1).

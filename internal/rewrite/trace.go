@@ -42,29 +42,26 @@ func FormatPoly(p anf.Poly, n *netlist.Netlist) string {
 // simplification, and the number of monomials cancelled in the step.
 // Intended for small designs (the full expression is printed per step).
 func TraceOutput(n *netlist.Netlist, root int, w io.Writer) (BitResult, error) {
-	cone := n.Cone(root)
 	br := BitResult{}
-	br.ConeGates = len(cone)
-
 	f := anf.Variable(anf.Var(root))
 	br.PeakTerms = 1
 	varOf := func(id int) anf.Var { return anf.Var(id) }
 	fmt.Fprintf(w, "F0 = %s\n", n.NameOf(root))
 
-	for i := len(cone) - 1; i >= 0; i-- {
-		id := cone[i]
+	var err error
+	br.ConeGates, err = n.Descend(root, func(id int) (bool, error) {
 		g := n.Gate(id)
 		if g.Type == netlist.Input {
-			continue
+			return false, nil
 		}
 		v := anf.Var(id)
 		k := f.VarOccurrences(v)
 		if k == 0 {
-			continue
+			return false, nil
 		}
 		e, err := n.GateANF(id, varOf)
 		if err != nil {
-			return br, err
+			return false, err
 		}
 		before := f.Len()
 		f.Substitute(v, e)
@@ -86,6 +83,10 @@ func TraceOutput(n *netlist.Netlist, root int, w io.Writer) (BitResult, error) {
 		if after > br.PeakTerms {
 			br.PeakTerms = after
 		}
+		return true, nil
+	})
+	if err != nil {
+		return br, err
 	}
 	br.Expr = f
 	br.FinalTerms = f.Len()

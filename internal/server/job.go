@@ -12,10 +12,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"time"
+
+	"github.com/galoisfield/gfre/internal/checkpoint"
 )
 
 // JobStatus is the lifecycle state of a spooled job.
@@ -161,38 +164,10 @@ func validJobID(id string) bool {
 	return true
 }
 
-// writeFileAtomic persists data under path via temp file + fsync + rename,
-// the same discipline the checkpoint package uses: a crash leaves either
-// the old file or the new one.
-func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
 // saveSpec persists the immutable job spec (written once, at submission,
 // BEFORE the job is acknowledged to the client).
 func saveSpec(dir, id string, spec *JobSpec) error {
-	data, err := json.Marshal(spec)
-	if err != nil {
-		return err
-	}
-	return writeFileAtomic(filepath.Join(dir, id+specSuffix), data)
+	return spoolJSON(filepath.Join(dir, id+specSuffix), spec)
 }
 
 // loadSpec reads a job spec from the spool.
@@ -210,11 +185,16 @@ func loadSpec(dir, id string) (*JobSpec, error) {
 
 // saveState atomically replaces the job's state file.
 func saveState(dir string, st *JobState) error {
-	data, err := json.Marshal(st)
-	if err != nil {
-		return err
-	}
-	return writeFileAtomic(filepath.Join(dir, st.ID+stateSuffix), data)
+	return spoolJSON(filepath.Join(dir, st.ID+stateSuffix), st)
+}
+
+// spoolJSON durably replaces a spool file with v's JSON encoding, with the
+// checkpoint package's temp → fsync → rename → directory-fsync discipline:
+// a crash leaves either the old file or the new one.
+func spoolJSON(path string, v any) error {
+	return checkpoint.WriteFileAtomic(path, func(w io.Writer) error {
+		return json.NewEncoder(w).Encode(v)
+	})
 }
 
 // loadState reads a job state from the spool.
