@@ -271,7 +271,7 @@ exit codes:
 		Preflight:    *preflight,
 	}
 	if *checkpointDir != "" {
-		opts.Checkpoint = gfre.NewCheckpointManager(*checkpointDir, -1)
+		opts.Checkpoint = gfre.NewCheckpointManager(*checkpointDir)
 	}
 	start := time.Now()
 	var ext *gfre.Extraction

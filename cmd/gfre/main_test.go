@@ -348,6 +348,29 @@ func TestRunTrace(t *testing.T) {
 	}
 }
 
+// TestRunTraceGolden pins -trace output byte for byte: the Figure 3 style
+// log of every substitution, including the exact mod-2 cancellation
+// annotations (eight of them on the mapped digit-serial design).
+func TestRunTraceGolden(t *testing.T) {
+	for _, tc := range []struct{ out, netlist, golden string }{
+		{"z1", "mastrovito16.eqn", "trace_mastrovito16_z1.txt"},
+		{"z0", "digitserial8_mapped.eqn", "trace_digitserial8_z0.txt"},
+	} {
+		var out, errOut bytes.Buffer
+		path := filepath.Join("..", "..", "testdata", tc.netlist)
+		if err := run([]string{"-trace", tc.out, "-quiet", path}, &out, &errOut); err != nil {
+			t.Fatalf("%s: %v\n%s", tc.netlist, err, errOut.String())
+		}
+		want, err := os.ReadFile(filepath.Join("..", "..", "testdata", "golden", tc.golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.String() != string(want) {
+			t.Errorf("%s: trace drifted from %s\ngot:\n%s", tc.netlist, tc.golden, out.String())
+		}
+	}
+}
+
 func TestRunSimulateFlag(t *testing.T) {
 	path := writeNetlist(t, "m8.eqn", "mastrovito", 8)
 	var out bytes.Buffer

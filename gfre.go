@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"time"
 
 	"github.com/galoisfield/gfre/internal/anf"
 	"github.com/galoisfield/gfre/internal/checkpoint"
@@ -114,9 +113,6 @@ type (
 	// TraceNode is one node of the hierarchical phase/cone trace tree
 	// assembled from a recorder's completed spans.
 	TraceNode = obs.TraceNode
-	// AnomalyConfig tunes the predicted-vs-actual cone cost anomaly stage
-	// armed by Recorder.EnableConeAnomalies (zero value = defaults).
-	AnomalyConfig = obs.AnomalyConfig
 	// HistogramBucket is one cumulative le-bound bucket of a histogram
 	// snapshot, matching the Prometheus exposition.
 	HistogramBucket = obs.HistogramBucket
@@ -322,13 +318,12 @@ func WritePrometheus(w io.Writer, s MetricsSnapshot, namespace string) error {
 }
 
 // NewCheckpointManager returns a checkpoint manager persisting extraction
-// progress into dir, saving at most once per throttle interval (throttle < 0
-// selects the 250ms default, 0 saves on every completed cone). Assign it to
+// progress into dir. It saves on the first completed cone, then at most once
+// per 250ms, and always when the run ends (success, failure or interrupt),
+// so a crash loses at most 250ms of completed cones. Assign it to
 // Options.Checkpoint; set Options.Resume to adopt an existing snapshot so
 // only pending cones are re-rewritten.
-func NewCheckpointManager(dir string, throttle time.Duration) *CheckpointManager {
-	return checkpoint.NewManager(dir, throttle)
-}
+func NewCheckpointManager(dir string) *CheckpointManager { return checkpoint.NewManager(dir) }
 
 // LoadCheckpoint reads and validates the snapshot in dir without starting a
 // run — for inspection tools and the service's restart recovery.

@@ -318,7 +318,7 @@ func TestManagerRecordRestore(t *testing.T) {
 	dir := t.TempDir()
 	n := testNetlist(t, 8)
 
-	mgr := NewManager(dir, 0) // save on every record
+	mgr := NewManager(dir)
 	if err := mgr.Begin(n); err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestManagerRecordRestore(t *testing.T) {
 	}
 
 	// A fresh manager (a restarted process) restores the done cones.
-	mgr2 := NewManager(dir, 0)
+	mgr2 := NewManager(dir)
 	prior, err := mgr2.Restore(n)
 	if err != nil {
 		t.Fatal(err)
@@ -371,7 +371,7 @@ func TestManagerRecordRestore(t *testing.T) {
 
 func TestManagerRestoreRejectsForeignNetlist(t *testing.T) {
 	dir := t.TempDir()
-	mgr := NewManager(dir, 0)
+	mgr := NewManager(dir)
 	if err := mgr.Begin(testNetlist(t, 8)); err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +388,7 @@ func TestManagerRestoreRejectsForeignNetlist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewManager(dir, 0).Restore(other); !errors.Is(err, ErrCheckpoint) {
+	if _, err := NewManager(dir).Restore(other); !errors.Is(err, ErrCheckpoint) {
 		t.Fatalf("foreign netlist: got %v, want ErrCheckpoint", err)
 	}
 }
@@ -396,7 +396,7 @@ func TestManagerRestoreRejectsForeignNetlist(t *testing.T) {
 func TestManagerRestoreEmptyDirBeginsFresh(t *testing.T) {
 	dir := t.TempDir()
 	n := testNetlist(t, 4)
-	mgr := NewManager(dir, 0)
+	mgr := NewManager(dir)
 	prior, err := mgr.Restore(n)
 	if err != nil {
 		t.Fatal(err)
@@ -409,41 +409,101 @@ func TestManagerRestoreEmptyDirBeginsFresh(t *testing.T) {
 	}
 }
 
-func TestManagerThrottle(t *testing.T) {
-	dir := t.TempDir()
+// TestManagerSaveCadence pins the manager's one save cadence: the first
+// Record after Begin saves, and so does the first after Restore; a
+// back-to-back Record does not; Sync and Finalize flush; a failed save stays
+// sticky. The window is widened to an hour so "back to back" holds on any
+// machine, and nothing sleeps.
+func TestManagerSaveCadence(t *testing.T) {
+	defer func(w time.Duration) { saveInterval = w }(saveInterval)
+	saveInterval = time.Hour
+
 	n := testNetlist(t, 8)
-	mgr := NewManager(dir, time.Hour) // never inside this test
+	outs := n.OutputNames()
+	record := func(mgr *Manager, bit int) {
+		mgr.Record(rewrite.BitResult{
+			BitStats: rewrite.BitStats{Bit: bit, Name: outs[bit], FinalTerms: 1},
+			Expr:     anf.Variable(anf.Var(bit + 1)),
+			Status:   rewrite.StatusOK,
+		})
+	}
+	dir := t.TempDir()
+	onDisk := func(want int, after string) *Snapshot {
+		t.Helper()
+		s, err := Load(dir)
+		if err != nil {
+			t.Fatalf("after %s: %v", after, err)
+		}
+		if s.DoneCones() != want {
+			t.Fatalf("after %s: %d cones on disk, want %d", after, s.DoneCones(), want)
+		}
+		return s
+	}
+
+	mgr := NewManager(dir)
 	if err := mgr.Begin(n); err != nil {
 		t.Fatal(err)
 	}
-	outs := n.OutputNames()
-	mgr.Record(rewrite.BitResult{
-		BitStats: rewrite.BitStats{Bit: 0, Name: outs[0], FinalTerms: 1},
-		Expr:     anf.Variable(1),
-		Status:   rewrite.StatusOK,
-	})
-	// First record saves (lastSave is zero), second is throttled.
-	mgr.Record(rewrite.BitResult{
-		BitStats: rewrite.BitStats{Bit: 1, Name: outs[1], FinalTerms: 1},
-		Expr:     anf.Variable(2),
-		Status:   rewrite.StatusOK,
-	})
-	s, err := Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.DoneCones() != 1 {
-		t.Fatalf("throttled manager wrote %d cones, want 1", s.DoneCones())
-	}
+	record(mgr, 0)
+	onDisk(1, "the first Record after Begin")
+	record(mgr, 1)
+	onDisk(1, "a back-to-back Record")
 	if err := mgr.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	s, err = Load(dir)
+	onDisk(2, "Sync")
+
+	// Restore (here on the manager that just saved, so the window is still
+	// open) restarts the cadence: its first Record saves as well.
+	if _, err := mgr.Restore(n); err != nil {
+		t.Fatal(err)
+	}
+	record(mgr, 2)
+	onDisk(3, "the first Record after Restore")
+	record(mgr, 3)
+	onDisk(3, "a back-to-back Record after Restore")
+	p, err := polytab.Default(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.DoneCones() != 2 {
-		t.Fatalf("Sync flushed %d cones, want 2", s.DoneCones())
+	if err := mgr.Finalize(p); err != nil {
+		t.Fatal(err)
+	}
+	if s := onDisk(4, "Finalize"); !s.Complete {
+		t.Fatal("Finalize did not mark the snapshot complete")
+	}
+
+	// A save error is sticky: once the directory becomes writable again the
+	// next saves succeed, but Sync and Finalize still report the first
+	// failure until the next Begin.
+	blocker := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dir = filepath.Join(blocker, "ckpt")
+	mgr = NewManager(dir)
+	if err := mgr.Begin(n); err != nil {
+		t.Fatal(err)
+	}
+	record(mgr, 0) // the first save fails: dir's parent is a regular file
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	record(mgr, 1) // no save has landed, so this Record saves
+	onDisk(2, "a Record following a failed save")
+	first := mgr.Sync()
+	if first == nil {
+		t.Fatal("Sync reported no error after a failed save")
+	}
+	if err := mgr.Finalize(p); err != first {
+		t.Fatalf("Finalize returned %v, want the sticky %v", err, first)
+	}
+	onDisk(2, "Finalize after a failed save")
+	if err := mgr.Begin(n); err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.Sync(); err != nil {
+		t.Fatalf("Begin did not clear the sticky error: %v", err)
 	}
 }
 
@@ -454,7 +514,7 @@ func TestFinalizeMarksComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr := NewManager(dir, 0)
+	mgr := NewManager(dir)
 	if err := mgr.Begin(n); err != nil {
 		t.Fatal(err)
 	}

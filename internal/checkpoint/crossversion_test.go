@@ -62,7 +62,7 @@ func TestCrossVersionResume(t *testing.T) {
 	}
 
 	// Restore through the manager exactly as a resumed extraction would.
-	mgr := NewManager(dir, 0)
+	mgr := NewManager(dir)
 	prior, err := mgr.Restore(n)
 	if err != nil {
 		t.Fatalf("Restore: %v", err)

@@ -16,17 +16,15 @@ import (
 // its directory. All methods are safe for concurrent use — Record is called
 // from every rewriting worker.
 //
-// Saves are throttled: a Record within Throttle of the previous save only
-// updates the in-memory snapshot and marks it dirty; the next Record past
-// the window (or an explicit Sync) writes the file. Cones complete far more
-// often than the window on small fields, so the file-write cost stays
-// bounded while a crash loses at most one throttle window of completed
-// cones — each of which the resumed run simply re-rewrites.
+// Saves follow one cadence: the first Record after Begin or Restore writes
+// the file, and later ones write it at most once per saveInterval — a Record
+// inside the window only updates the in-memory snapshot and marks it dirty.
+// Sync and Finalize always write. Cones complete far more often than the
+// window on small fields, so the file-write cost stays bounded while a crash
+// loses at most one window of completed cones — each of which the resumed
+// run simply re-rewrites (the cones are independent, Theorem 2).
 type Manager struct {
 	dir string
-	// Throttle is the minimum interval between snapshot writes (0 = save on
-	// every Record, the durable-but-slow setting tests use).
-	throttle time.Duration
 
 	mu       sync.Mutex
 	snap     *Snapshot
@@ -35,14 +33,12 @@ type Manager struct {
 	saveErr  error
 }
 
-// NewManager creates a manager persisting into dir. throttle < 0 selects
-// the default (250ms); 0 saves on every recorded cone.
-func NewManager(dir string, throttle time.Duration) *Manager {
-	if throttle < 0 {
-		throttle = 250 * time.Millisecond
-	}
-	return &Manager{dir: dir, throttle: throttle}
-}
+// saveInterval is the minimum time between two Record-triggered saves. It
+// is a variable only so tests can widen the window deterministically.
+var saveInterval = 250 * time.Millisecond
+
+// NewManager creates a manager persisting into dir.
+func NewManager(dir string) *Manager { return &Manager{dir: dir} }
 
 // Dir returns the snapshot directory.
 func (m *Manager) Dir() string { return m.dir }
@@ -119,7 +115,7 @@ func (m *Manager) Restore(n *netlist.Netlist) ([]rewrite.BitResult, error) {
 }
 
 // Record stores one cone's terminal result and saves the snapshot when the
-// throttle window allows. Failed cones are recorded too — their status and
+// save cadence allows. Failed cones are recorded too — their status and
 // error survive the restart as diagnostics — but stay pending for resume
 // purposes. Write errors are sticky and surface from Sync.
 func (m *Manager) Record(br rewrite.BitResult) {
@@ -130,7 +126,7 @@ func (m *Manager) Record(br rewrite.BitResult) {
 	}
 	m.snap.Bits[br.Bit] = FromBitResult(br)
 	m.dirty = true
-	if m.throttle == 0 || time.Since(m.lastSave) >= m.throttle {
+	if time.Since(m.lastSave) >= saveInterval {
 		m.saveLocked()
 	}
 }

@@ -33,13 +33,14 @@ func runResume(c Case, stage *string, fail func(error) Result) Result {
 	}
 	defer os.RemoveAll(dir)
 
-	// Interrupted run: single-threaded so cones complete one at a time, an
-	// unthrottled manager so every completed cone hits the disk, and a
-	// watcher that cancels the context the moment `target` cones are done —
-	// a cancellation landing at a cone boundary, like a SIGTERM would.
+	// Interrupted run: single-threaded so cones complete one at a time, and
+	// a watcher that cancels the context the moment `target` cones are done
+	// in memory — a cancellation landing at a cone boundary, like a SIGTERM
+	// would. The pipeline's Sync on the interrupt path writes every completed
+	// cone, whatever the save cadence, before the snapshot is loaded below.
 	r := rand.New(rand.NewSource(c.Seed))
 	target := 1 + r.Intn(c.M)
-	mgr := checkpoint.NewManager(dir, 0)
+	mgr := checkpoint.NewManager(dir)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	stopWatch := make(chan struct{})
@@ -83,7 +84,7 @@ func runResume(c Case, stage *string, fail func(error) Result) Result {
 	*stage = "resume"
 	ext, err := extract.IrreduciblePolynomial(n, extract.Options{
 		Threads:    c.Threads,
-		Checkpoint: checkpoint.NewManager(dir, 0),
+		Checkpoint: checkpoint.NewManager(dir),
 		Resume:     true,
 	})
 	if err != nil {

@@ -25,11 +25,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"path/filepath"
 	"strings"
 	"time"
 
-	"github.com/galoisfield/gfre/internal/checkpoint"
 	"github.com/galoisfield/gfre/internal/extract"
 	"github.com/galoisfield/gfre/internal/gen"
 	"github.com/galoisfield/gfre/internal/gf2poly"
@@ -129,10 +127,9 @@ var (
 type RunOption func(*runCfg)
 
 type runCfg struct {
-	ctx           context.Context
-	budgetTerms   int
-	coneDeadline  time.Duration
-	checkpointDir string
+	ctx          context.Context
+	budgetTerms  int
+	coneDeadline time.Duration
 }
 
 // WithContext cancels in-flight extractions when ctx ends; remaining rows
@@ -152,15 +149,6 @@ func WithBudget(terms int) RunOption {
 // cone (see rewrite.Options.ConeDeadline).
 func WithConeDeadline(d time.Duration) RunOption {
 	return func(c *runCfg) { c.coneDeadline = d }
-}
-
-// WithCheckpointDir makes a sweep restartable: every row checkpoints its
-// per-cone progress crash-safely under dir (one subdirectory per row label,
-// see package checkpoint) and resumes from whatever snapshot an interrupted
-// earlier sweep left there. Combine with WithContext to make long table
-// sweeps both interruptible and resumable.
-func WithCheckpointDir(dir string) RunOption {
-	return func(c *runCfg) { c.checkpointDir = dir }
 }
 
 func applyRunOptions(ropts []RunOption) runCfg {
@@ -194,10 +182,6 @@ func runExtraction(label string, n *netlist.Netlist, p gf2poly.Poly, paper Paper
 		// deadline knobs from the cone-cost predictor, so sweep rows fail
 		// fast on defective designs instead of burning their time budget.
 		Preflight: true,
-	}
-	if cfg.checkpointDir != "" {
-		opts.Checkpoint = checkpoint.NewManager(filepath.Join(cfg.checkpointDir, rowSlug(label)), -1)
-		opts.Resume = true
 	}
 	start := time.Now()
 	ext, err := extract.IrreduciblePolynomial(n, opts)
@@ -526,19 +510,4 @@ func WriteJSON(w io.Writer, rows []Row) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
-}
-
-// rowSlug turns a row label into a filesystem-safe checkpoint subdirectory
-// name ("GF(2^163) Mastrovito" -> "GF_2_163__Mastrovito").
-func rowSlug(label string) string {
-	out := make([]rune, 0, len(label))
-	for _, r := range label {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '.':
-			out = append(out, r)
-		default:
-			out = append(out, '_')
-		}
-	}
-	return string(out)
 }

@@ -272,40 +272,3 @@ func TestFigure4CSVEmptySeries(t *testing.T) {
 		t.Errorf("empty series CSV = %q", got)
 	}
 }
-
-func TestWithCheckpointDirResumesSweep(t *testing.T) {
-	dir := t.TempDir()
-	// First sweep populates per-row checkpoints.
-	rows, err := TableI([]int{64}, WithCheckpointDir(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 || !rows[0].OK {
-		t.Fatalf("rows: %+v", rows)
-	}
-	sub, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sub) != 1 || !sub[0].IsDir() {
-		t.Fatalf("checkpoint dir entries: %v", sub)
-	}
-	// A re-run finds the completed snapshots and reuses every cone — the
-	// restartable-sweep contract.
-	again, err := TableI([]int{64}, WithCheckpointDir(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !again[0].OK {
-		t.Fatalf("resumed row failed: %s", again[0].Err)
-	}
-	if got := again[0].Metrics.Counters["bits_reused"]; got != 64 {
-		t.Fatalf("resumed sweep reused %d cones, want 64", got)
-	}
-}
-
-func TestRowSlug(t *testing.T) {
-	if got := rowSlug("GF(2^163) Mastrovito"); got != "GF_2_163__Mastrovito" {
-		t.Errorf("rowSlug = %q", got)
-	}
-}

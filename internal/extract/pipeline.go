@@ -239,7 +239,7 @@ func preflight(n *netlist.Netlist, opts *Options) (*netlint.Report, error) {
 	for _, c := range rep.Cones {
 		pred[c.Output] = int64(c.PredictedPeakTerms)
 	}
-	opts.Recorder.EnableConeAnomalies(pred, obs.AnomalyConfig{})
+	opts.Recorder.EnableConeAnomalies(pred)
 	return rep, nil
 }
 
@@ -255,8 +255,8 @@ func preflight(n *netlist.Netlist, opts *Options) (*netlint.Report, error) {
 //   - every freshly computed cone — completed or failed — lands in the
 //     snapshot via the OnBitDone hook as the run progresses;
 //   - whatever way the run ends (success, governed abort, cancellation),
-//     Sync flushes the last throttle window, so the snapshot on disk is
-//     never more than the in-flight cones behind the run.
+//     Sync flushes the cones recorded since the last save, so the snapshot
+//     on disk is never more than the in-flight cones behind the run.
 //
 // On the consensus path failed cones are data rather than fatal, so the
 // executor keeps partial results up to the tolerance.

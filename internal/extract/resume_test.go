@@ -22,7 +22,7 @@ func TestExtractCheckpointLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	mgr := checkpoint.NewManager(dir, 0)
+	mgr := checkpoint.NewManager(dir)
 
 	ext, err := IrreduciblePolynomial(n, Options{Checkpoint: mgr})
 	if err != nil {
@@ -44,7 +44,7 @@ func TestExtractCheckpointLifecycle(t *testing.T) {
 
 	// A restarted process resuming the complete snapshot reuses every cone.
 	ext2, err := IrreduciblePolynomial(n, Options{
-		Checkpoint: checkpoint.NewManager(dir, 0), Resume: true,
+		Checkpoint: checkpoint.NewManager(dir), Resume: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +74,7 @@ func TestExtractResumeFromPartialSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	mgr := checkpoint.NewManager(dir, 0)
+	mgr := checkpoint.NewManager(dir)
 	if err := mgr.Begin(n); err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestExtractResumeFromPartialSnapshot(t *testing.T) {
 	}
 
 	ext, err := IrreduciblePolynomial(n, Options{
-		Checkpoint: checkpoint.NewManager(dir, 0), Resume: true,
+		Checkpoint: checkpoint.NewManager(dir), Resume: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +116,7 @@ func TestExtractResumeRejectsForeignSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	mgr := checkpoint.NewManager(dir, 0)
+	mgr := checkpoint.NewManager(dir)
 	if err := mgr.Begin(mast); err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestExtractResumeRejectsForeignSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = IrreduciblePolynomial(mont, Options{
-		Checkpoint: checkpoint.NewManager(dir, 0), Resume: true,
+		Checkpoint: checkpoint.NewManager(dir), Resume: true,
 	})
 	if !errors.Is(err, checkpoint.ErrCheckpoint) {
 		t.Fatalf("foreign snapshot: got %v, want ErrCheckpoint", err)
@@ -144,7 +144,7 @@ func TestExtractCancellationLeavesResumableSnapshot(t *testing.T) {
 	cancel() // cancelled before the run: every cone aborts, none complete
 	dir := t.TempDir()
 	_, err = IrreduciblePolynomial(n, Options{
-		Checkpoint: checkpoint.NewManager(dir, 0), Ctx: ctx,
+		Checkpoint: checkpoint.NewManager(dir), Ctx: ctx,
 	})
 	if err == nil {
 		t.Fatal("cancelled extraction succeeded")
@@ -159,7 +159,7 @@ func TestExtractCancellationLeavesResumableSnapshot(t *testing.T) {
 		t.Fatal("interrupted snapshot marked complete")
 	}
 	ext, err := IrreduciblePolynomial(n, Options{
-		Checkpoint: checkpoint.NewManager(dir, 0), Resume: true,
+		Checkpoint: checkpoint.NewManager(dir), Resume: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +205,7 @@ func TestEveryEntryPointCheckpointsUnderOneRootSpan(t *testing.T) {
 			for _, resume := range []bool{false, true} {
 				rec := obs.NewRecorder()
 				ext, err := tc.run(Options{
-					Recorder: rec, Checkpoint: checkpoint.NewManager(dir, 0), Resume: resume,
+					Recorder: rec, Checkpoint: checkpoint.NewManager(dir), Resume: resume,
 				})
 				if err != nil {
 					t.Fatalf("resume=%v: %v", resume, err)

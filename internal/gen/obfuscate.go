@@ -53,13 +53,11 @@ func (s ObfStyle) String() string {
 type ObfuscateOptions struct {
 	// Style is the gating construction.
 	Style ObfStyle
-	// Keys is the number of key inputs to plant (default 1; capped at the
-	// number of distinct gateable wires).
+	// Keys is the number of key inputs k0, k1, ... to plant (default 1;
+	// capped at the number of distinct gateable wires).
 	Keys int
 	// Seed drives deterministic victim selection.
 	Seed int64
-	// KeyPrefix names the key inputs (default "k": k0, k1, ...).
-	KeyPrefix string
 }
 
 // Obfuscation reports what was planted, in new-netlist gate IDs.
@@ -90,24 +88,10 @@ func Obfuscate(n *netlist.Netlist, o ObfuscateOptions) (*netlist.Netlist, *Obfus
 	if o.Keys < 1 {
 		o.Keys = 1
 	}
-	if o.KeyPrefix == "" {
-		o.KeyPrefix = "k"
-	}
 
 	// Victim pool: non-input gates inside some output's cone (a gated wire
 	// outside every cone would be undetectable and unverifiable).
-	reach := make([]bool, n.NumGates())
-	for _, out := range n.Outputs() {
-		reach[out] = true
-	}
-	for id := n.NumGates() - 1; id >= 0; id-- {
-		if !reach[id] {
-			continue
-		}
-		for _, f := range n.Gate(id).Fanin {
-			reach[f] = true
-		}
-	}
+	reach := n.Live()
 	var pool []int
 	for id := 0; id < n.NumGates(); id++ {
 		if reach[id] && n.Gate(id).Type != netlist.Input {
@@ -168,7 +152,7 @@ func Obfuscate(n *netlist.Netlist, o ObfuscateOptions) (*netlist.Netlist, *Obfus
 	// Then the key inputs.
 	info := &Obfuscation{Style: o.Style}
 	for i := 0; i < o.Keys; i++ {
-		name := fmt.Sprintf("%s%d", o.KeyPrefix, i)
+		name := fmt.Sprintf("k%d", i)
 		nid, err := out.AddInput(name)
 		if err != nil {
 			return nil, nil, fmt.Errorf("gen: obfuscate: key input %s: %w", name, err)

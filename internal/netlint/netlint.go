@@ -326,21 +326,10 @@ func newContext(n *netlist.Netlist, opts Options) *Context {
 			ctx.Fanout[f]++
 		}
 	}
-	// Reachability: reverse walk from the outputs. Gates are topologically
-	// ordered, so one descending sweep settles the whole DAG.
-	ctx.Reach = make([]bool, n.NumGates())
 	for _, out := range n.Outputs() {
-		ctx.Reach[out] = true
 		ctx.Fanout[out]++
 	}
-	for id := n.NumGates() - 1; id >= 0; id-- {
-		if !ctx.Reach[id] {
-			continue
-		}
-		for _, f := range n.Gate(id).Fanin {
-			ctx.Reach[f] = true
-		}
-	}
+	ctx.Reach = n.Live()
 	return ctx
 }
 

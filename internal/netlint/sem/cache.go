@@ -8,16 +8,18 @@ import (
 	"github.com/galoisfield/gfre/internal/netlist"
 )
 
-// Analysis results are content-hash cached: gfred lints every submission at
-// admission time and again when the job runs, gflint is rerun on unchanged
+// Analysis results are content-hash cached: gflint is rerun on unchanged
 // files by editors and CI, and the diffcheck campaigns lint the same
 // generated designs repeatedly. The sweep is cheap but not free, and the
-// Result is immutable — so identical (netlist, options) pairs share one.
+// Result is immutable — so identical (content hash, options) pairs share one.
 //
-// The key reuses the checkpoint package's canonical netlist hashing (the
-// same content binding that makes resume refuse a mismatched snapshot), so
-// any two construction paths that produce the same canonical EQN text hit
-// the same entry.
+// The caller chooses the content hash. netlint.AnalyzeSource passes the
+// SHA-256 of the source bytes; netlint.Analyze passes the checkpoint
+// package's canonical netlist hash (the same content binding that makes
+// resume refuse a mismatched snapshot), so any two construction paths that
+// produce the same canonical EQN text hit the same entry. The two kinds of
+// key never match each other: a gfred job, linted from source at submit
+// time and as a netlist by the run-time preflight, sweeps twice.
 
 const cacheCap = 64
 
@@ -35,8 +37,8 @@ var cache = struct {
 // spaces. Facts are indexed by gate ID; handing one netlist the other's
 // Result would be out-of-bounds or, worse, silently wrong.
 func cacheKey(contentHash string, n *netlist.Netlist, opts Options) string {
-	return fmt.Sprintf("sem1|%s|g%d|i%d|tt%d|s%d",
-		contentHash, n.NumGates(), len(n.Inputs()), opts.ttMaxVars(), opts.maxSets())
+	return fmt.Sprintf("sem1|%s|g%d|i%d|s%d",
+		contentHash, n.NumGates(), len(n.Inputs()), opts.maxSets())
 }
 
 // AnalyzeCached is Analyze behind a bounded content-addressed cache.

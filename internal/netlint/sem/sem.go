@@ -46,25 +46,17 @@ const DegCap = 1 << 20
 
 // Options configures an analysis.
 type Options struct {
-	// TTMaxVars bounds the exact truth-table sub-domain's variable count
-	// (default and maximum 6: one uint64 per wire).
-	TTMaxVars int
 	// MaxSets caps the support-set intern table before widening kicks in
 	// (default 1<<16 distinct sets).
 	MaxSets int
 }
 
 const (
-	defaultTTMaxVars = 6
-	defaultMaxSets   = 1 << 16
+	// ttMaxVars bounds the exact truth-table sub-domain's variable count:
+	// one uint64 per wire.
+	ttMaxVars      = 6
+	defaultMaxSets = 1 << 16
 )
-
-func (o Options) ttMaxVars() int {
-	if o.TTMaxVars <= 0 || o.TTMaxVars > 6 {
-		return defaultTTMaxVars
-	}
-	return o.TTMaxVars
-}
 
 func (o Options) maxSets() int {
 	if o.MaxSets <= 8 {
@@ -375,7 +367,6 @@ func (a *analyzer) transfer(id int) fact {
 // exactCompose tries to settle the gate in the truth-table domain: all
 // remaining fanins must be exact and their combined variable set small.
 func (a *analyzer) exactCompose(T uint64, k int) (fact, bool) {
-	ttMax := a.opts.ttMaxVars()
 	a.vbuf = a.vbuf[:0]
 	for _, u := range a.uid {
 		uf := &a.facts[u]
@@ -391,7 +382,7 @@ func (a *analyzer) exactCompose(T uint64, k int) (fact, bool) {
 			if pos < len(a.vbuf) && a.vbuf[pos] == v {
 				continue
 			}
-			if len(a.vbuf) >= ttMax {
+			if len(a.vbuf) >= ttMaxVars {
 				return fact{}, false
 			}
 			a.vbuf = append(a.vbuf, 0)

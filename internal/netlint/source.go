@@ -387,9 +387,10 @@ func AnalyzeSource(data []byte, filename, format string, opts Options) *Report {
 		format = DetectFormat(filename, data)
 	}
 	if opts.ContentHash == "" {
-		// Key the semantic cache on the source bytes: repeated gflint runs
-		// and gfred's admission-then-execution double lint of the same file
-		// share one semantic sweep without re-serializing the netlist.
+		// Key the semantic cache on the source bytes, so repeated lints of
+		// the same file share one semantic sweep without re-serializing the
+		// netlist. Analyze keys on the canonical netlist hash instead, so
+		// gfred's run-time preflight misses this entry.
 		sum := sha256.Sum256(data)
 		opts.ContentHash = hex.EncodeToString(sum[:])
 	}

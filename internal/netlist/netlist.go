@@ -323,6 +323,24 @@ func (n *Netlist) ConeSize(root int) int {
 	return count
 }
 
+// Live reports, per gate ID, whether the gate lies in some output's cone:
+// the union of Cone(out) over every output, settled by one descending pass
+// over the gate table, so O(gates + edges) however many outputs share it.
+func (n *Netlist) Live() []bool {
+	live := make([]bool, len(n.gates))
+	for _, out := range n.outputs {
+		live[out] = true
+	}
+	for id := len(n.gates) - 1; id >= 0; id-- {
+		if live[id] {
+			for _, f := range n.gates[id].Fanin {
+				live[f] = true
+			}
+		}
+	}
+	return live
+}
+
 // Descend sweeps the transitive fanin of root in descending ID order — a
 // reverse topological order, since every fanin ID is smaller than its
 // readers — and calls visit once on every gate it reaches. Root is
@@ -422,15 +440,15 @@ func (n *Netlist) Stats() Stats {
 	return s
 }
 
-// GateANF returns the algebraic model of gate id as a polynomial over the
-// variables assigned to its fanins by varOf — the per-gate expressions of
+// GateANF returns the algebraic model of gate id as a polynomial over its
+// fanins, fanin f being variable anf.Var(f) — the per-gate expressions of
 // Eq. (1) in the paper, extended to complex cells. All models are derived
 // from the same eval used by simulation (via the Möbius transform for LUTs,
 // hand-expanded for fixed cells), so the algebraic and Boolean semantics
 // coincide by construction.
-func (n *Netlist) GateANF(id int, varOf func(int) anf.Var) (anf.Poly, error) {
+func (n *Netlist) GateANF(id int) (anf.Poly, error) {
 	g := n.gates[id]
-	v := func(i int) anf.Var { return varOf(g.Fanin[i]) }
+	v := func(i int) anf.Var { return anf.Var(g.Fanin[i]) }
 	mono := anf.NewMono
 	one := anf.MonoOne
 	switch g.Type {
@@ -459,7 +477,7 @@ func (n *Netlist) GateANF(id int, varOf func(int) anf.Var) (anf.Poly, error) {
 	case Lut:
 		vars := make([]anf.Var, len(g.Fanin))
 		for i, f := range g.Fanin {
-			vars[i] = varOf(f)
+			vars[i] = anf.Var(f)
 		}
 		return anf.FromTruthTable(vars, g.Table)
 	default:
@@ -467,7 +485,7 @@ func (n *Netlist) GateANF(id int, varOf func(int) anf.Var) (anf.Poly, error) {
 		k := len(g.Fanin)
 		vars := make([]anf.Var, k)
 		for i, f := range g.Fanin {
-			vars[i] = varOf(f)
+			vars[i] = anf.Var(f)
 		}
 		table := make([]bool, 1<<uint(k))
 		in := make([]bool, k)

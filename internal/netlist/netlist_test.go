@@ -208,7 +208,7 @@ func TestGateANFMatchesSimulation(t *testing.T) {
 		if err := n.MarkOutput("z", gid); err != nil {
 			t.Fatal(err)
 		}
-		poly, err := n.GateANF(gid, func(id int) anf.Var { return anf.Var(id) })
+		poly, err := n.GateANF(gid)
 		if err != nil {
 			t.Fatalf("%v: GateANF: %v", gt, err)
 		}
@@ -247,7 +247,7 @@ func TestGateANFLut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	poly, err := n.GateANF(id, func(id int) anf.Var { return anf.Var(id) })
+	poly, err := n.GateANF(id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestGateANFLut(t *testing.T) {
 func TestGateANFInputFails(t *testing.T) {
 	n := New("t")
 	a, _ := n.AddInput("a")
-	if _, err := n.GateANF(a, func(id int) anf.Var { return anf.Var(id) }); err == nil {
+	if _, err := n.GateANF(a); err == nil {
 		t.Error("GateANF on a primary input should fail")
 	}
 }

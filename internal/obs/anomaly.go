@@ -20,66 +20,45 @@ import "sort"
 // 100%). The detector therefore anchors every verdict on the MEDIAN ratio
 // of the cones finished so far — the healthy population calibrates the
 // baseline, and only cones that stick out of it are flagged. The first
-// MinSamples cones are a warm-up: they only feed the median, so a lone
+// anomalyMinSamples cones are a warm-up: they only feed the median, so a lone
 // tampered cone among them is still caught once its ratio towers over the
 // settled median of its siblings (cone order is randomized by the
 // scheduler, and one outlier barely moves a median).
 
-// AnomalyConfig tunes EnableConeAnomalies. The zero value selects defaults.
-type AnomalyConfig struct {
-	// MinPredicted ignores cones whose predicted peak is below this: tiny
-	// cones (low output bits of a Mastrovito multiplier) trivially reach
-	// their two-term bound without meaning anything. Default 256.
-	MinPredicted int64
-	// AbsRatio flags a cone when actual/predicted reaches it WHILE the
+// The detector's thresholds.
+const (
+	// anomalyMinPredicted ignores cones whose predicted peak is below it:
+	// tiny cones (low output bits of a Mastrovito multiplier) trivially reach
+	// their two-term bound without meaning anything.
+	anomalyMinPredicted = 256
+	// anomalyAbsRatio flags a cone when actual/predicted reaches it WHILE the
 	// median ratio sits below it — i.e. cancellation is the norm here, and
-	// this cone has essentially none. Default 0.5. Values are in (0, 1].
-	// On architectures whose healthy median itself reaches AbsRatio
-	// (Mastrovito cones track their bound exactly) this test self-disarms;
-	// only the relative test can fire there.
-	AbsRatio float64
-	// RelFactor flags a cone whose ratio exceeds RelFactor times the median
-	// ratio of the cones finished so far — the "one fat cone among healthy
-	// siblings" signature of a localized trojan. Default 8.
-	RelFactor float64
-	// MinRatio is the floor under which the relative test never fires:
-	// on heavy-cancellation designs healthy ratios scatter across an order
-	// of magnitude around a sub-percent median, so RelFactor alone would
-	// flag noise. A cone must burn at least this fraction of its bound
-	// before sticking out of the median means anything. Default 0.05.
-	MinRatio float64
-	// MinSamples is how many cones must finish before verdicts are issued
-	// (the median needs support). Cones finishing during the warm-up are
-	// buffered and judged retroactively the moment the detector arms, so
-	// an early-finishing tampered cone is still flagged. Default 8.
-	MinSamples int
-}
-
-func (c AnomalyConfig) withDefaults() AnomalyConfig {
-	if c.MinPredicted <= 0 {
-		c.MinPredicted = 256
-	}
-	if c.AbsRatio <= 0 {
-		c.AbsRatio = 0.5
-	}
-	if c.RelFactor <= 0 {
-		c.RelFactor = 8
-	}
-	if c.MinRatio <= 0 {
-		c.MinRatio = 0.05
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 8
-	}
-	return c
-}
+	// this cone has essentially none. On architectures whose healthy median
+	// itself reaches it (Mastrovito cones track their bound exactly) this
+	// test self-disarms; only the relative test can fire there.
+	anomalyAbsRatio = 0.5
+	// anomalyRelFactor flags a cone whose ratio exceeds this many times the
+	// median ratio of the cones finished so far — the "one fat cone among
+	// healthy siblings" signature of a localized trojan.
+	anomalyRelFactor = 8
+	// anomalyMinRatio is the floor under which the relative test never
+	// fires: on heavy-cancellation designs healthy ratios scatter across an
+	// order of magnitude around a sub-percent median, so the relative factor
+	// alone would flag noise. A cone must burn at least this fraction of its
+	// bound before sticking out of the median means anything.
+	anomalyMinRatio = 0.05
+	// anomalyMinSamples is how many cones must finish before verdicts are
+	// issued (the median needs support). Cones finishing during the warm-up
+	// are buffered and judged retroactively the moment the detector arms, so
+	// an early-finishing tampered cone is still flagged.
+	anomalyMinSamples = 8
+)
 
 // anomalyDetector holds the armed predictions and the running ratio sample.
 type anomalyDetector struct {
-	cfg    AnomalyConfig
 	pred   map[int]int64 // output bit -> predicted peak terms
 	ratios []float64     // actual/predicted of finished cones, arrival order
-	warmup []coneSample  // cones finished before MinSamples, judged at arming
+	warmup []coneSample  // cones finished during the warm-up, judged at arming
 }
 
 // coneSample is one finished cone awaiting (or under) an anomaly verdict.
@@ -96,7 +75,7 @@ type coneSample struct {
 // extract preflight). Every subsequent BitFinish compares actual vs
 // predicted; anomalous cones emit a cone_anomaly event and bump the
 // cone_anomalies counter. Passing an empty map disarms the stage.
-func (r *Recorder) EnableConeAnomalies(pred map[int]int64, cfg AnomalyConfig) {
+func (r *Recorder) EnableConeAnomalies(pred map[int]int64) {
 	if r == nil {
 		return
 	}
@@ -108,7 +87,7 @@ func (r *Recorder) EnableConeAnomalies(pred map[int]int64, cfg AnomalyConfig) {
 		for k, v := range pred {
 			cp[k] = v
 		}
-		r.anom = &anomalyDetector{cfg: cfg.withDefaults(), pred: cp}
+		r.anom = &anomalyDetector{pred: cp}
 	}
 	r.mu.Unlock()
 }
@@ -123,7 +102,7 @@ func (r *Recorder) checkConeAnomaly(bs BitStats) {
 		return
 	}
 	predicted, ok := det.pred[bs.Bit]
-	if !ok || predicted < det.cfg.MinPredicted {
+	if !ok || predicted < anomalyMinPredicted {
 		r.mu.Unlock()
 		return
 	}
@@ -135,7 +114,7 @@ func (r *Recorder) checkConeAnomaly(bs BitStats) {
 	}
 	var flagged []coneSample
 	var med float64
-	if len(det.ratios) < det.cfg.MinSamples {
+	if len(det.ratios) < anomalyMinSamples {
 		// Warm-up: the median has no support yet. Buffer the cone; it is
 		// judged retroactively the moment the detector arms.
 		det.warmup = append(det.warmup, cur)
@@ -144,7 +123,7 @@ func (r *Recorder) checkConeAnomaly(bs BitStats) {
 		// At the arming moment det.warmup still holds the early finishers;
 		// afterwards it is empty and only cur is judged.
 		for _, c := range append(det.warmup, cur) {
-			if det.cfg.anomalous(c.ratio, med) {
+			if anomalous(c.ratio, med) {
 				flagged = append(flagged, c)
 			}
 		}
@@ -165,12 +144,12 @@ func (r *Recorder) checkConeAnomaly(bs BitStats) {
 }
 
 // anomalous is the verdict rule: a cone is flagged when its ratio towers
-// over the population median (RelFactor), or when it reached the absolute
-// no-cancellation threshold on an architecture whose median proves that
-// healthy cones do cancel (median below AbsRatio).
-func (c AnomalyConfig) anomalous(ratio, med float64) bool {
-	rel := med > 0 && ratio >= c.RelFactor*med && ratio >= c.MinRatio
-	abs := ratio >= c.AbsRatio && med < c.AbsRatio
+// over the population median (anomalyRelFactor), or when it reached the
+// absolute no-cancellation threshold on an architecture whose median proves
+// that healthy cones do cancel (median below anomalyAbsRatio).
+func anomalous(ratio, med float64) bool {
+	rel := med > 0 && ratio >= anomalyRelFactor*med && ratio >= anomalyMinRatio
+	abs := ratio >= anomalyAbsRatio && med < anomalyAbsRatio
 	return rel || abs
 }
 

@@ -25,7 +25,7 @@ func TestAnomalyAbsoluteThreshold(t *testing.T) {
 	for bit := 0; bit < 9; bit++ {
 		pred[bit] = 10000
 	}
-	rec.EnableConeAnomalies(pred, AnomalyConfig{})
+	rec.EnableConeAnomalies(pred)
 
 	for bit := 0; bit < 8; bit++ {
 		finishBit(rec, bit, 1000) // 10% of bound: healthy, arms the median
@@ -59,7 +59,7 @@ func TestAnomalyTightBoundMedianSelfDisarms(t *testing.T) {
 	for bit := 0; bit < 12; bit++ {
 		pred[bit] = 1000
 	}
-	rec.EnableConeAnomalies(pred, AnomalyConfig{})
+	rec.EnableConeAnomalies(pred)
 	for bit := 0; bit < 12; bit++ {
 		finishBit(rec, bit, 1000) // exactly the bound, like its siblings
 	}
@@ -77,7 +77,7 @@ func TestAnomalyWarmupJudgedRetroactively(t *testing.T) {
 	for bit := 0; bit < 9; bit++ {
 		pred[bit] = 10000
 	}
-	rec.EnableConeAnomalies(pred, AnomalyConfig{})
+	rec.EnableConeAnomalies(pred)
 
 	finishBit(rec, 0, 6000) // the fat cone lands first
 	for bit := 1; bit < 7; bit++ {
@@ -102,7 +102,7 @@ func TestAnomalyRelativeToMedian(t *testing.T) {
 	for bit := 0; bit < 10; bit++ {
 		pred[bit] = 100000
 	}
-	rec.EnableConeAnomalies(pred, AnomalyConfig{})
+	rec.EnableConeAnomalies(pred)
 
 	// Eight healthy cones at 1% of bound arm the median.
 	for bit := 0; bit < 8; bit++ {
@@ -137,7 +137,7 @@ func TestAnomalyMinRatioFloor(t *testing.T) {
 	for bit := 0; bit < 10; bit++ {
 		pred[bit] = 1000000
 	}
-	rec.EnableConeAnomalies(pred, AnomalyConfig{})
+	rec.EnableConeAnomalies(pred)
 	for bit := 0; bit < 8; bit++ {
 		finishBit(rec, bit, 200) // 0.02% of bound
 	}
@@ -156,7 +156,7 @@ func TestAnomalyMinRatioFloor(t *testing.T) {
 func TestAnomalyMinPredictedFloor(t *testing.T) {
 	mem := NewMemorySink()
 	rec := NewRecorder(mem)
-	rec.EnableConeAnomalies(map[int]int64{0: 2, 1: 100}, AnomalyConfig{})
+	rec.EnableConeAnomalies(map[int]int64{0: 2, 1: 100})
 
 	finishBit(rec, 0, 2)   // 100% of a 2-term bound: below MinPredicted, skip
 	finishBit(rec, 1, 100) // 100% of a 100-term bound: still below 256, skip
@@ -170,7 +170,7 @@ func TestAnomalyMinPredictedFloor(t *testing.T) {
 func TestAnomalyUnpredictedBitSkipped(t *testing.T) {
 	mem := NewMemorySink()
 	rec := NewRecorder(mem)
-	rec.EnableConeAnomalies(map[int]int64{0: 10000}, AnomalyConfig{})
+	rec.EnableConeAnomalies(map[int]int64{0: 10000})
 	finishBit(rec, 7, 999999)
 	if n := len(mem.ByType(EvConeAnomaly)); n != 0 {
 		t.Fatalf("unpredicted bit flagged: %d", n)
@@ -181,8 +181,8 @@ func TestAnomalyUnpredictedBitSkipped(t *testing.T) {
 func TestAnomalyDisarm(t *testing.T) {
 	mem := NewMemorySink()
 	rec := NewRecorder(mem)
-	rec.EnableConeAnomalies(map[int]int64{0: 10000}, AnomalyConfig{})
-	rec.EnableConeAnomalies(nil, AnomalyConfig{})
+	rec.EnableConeAnomalies(map[int]int64{0: 10000})
+	rec.EnableConeAnomalies(nil)
 	finishBit(rec, 0, 9999)
 	if n := len(mem.ByType(EvConeAnomaly)); n != 0 {
 		t.Fatalf("disarmed stage flagged: %d", n)

@@ -122,7 +122,7 @@ func TestNilSafety(t *testing.T) {
 	if rec.Journal() != nil {
 		t.Fatal("nil recorder Journal != nil")
 	}
-	rec.EnableConeAnomalies(map[int]int64{0: 100}, AnomalyConfig{})
+	rec.EnableConeAnomalies(map[int]int64{0: 100})
 	if rec.TraceTree() != nil {
 		t.Fatal("nil recorder TraceTree != nil")
 	}

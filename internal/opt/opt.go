@@ -389,12 +389,7 @@ func evalType(t netlist.GateType, in []bool) bool {
 // elimination). Primary inputs are always kept so the port signature is
 // preserved.
 func sweepDead(n *netlist.Netlist) (*netlist.Netlist, error) {
-	live := make([]bool, n.NumGates())
-	for _, root := range n.Outputs() {
-		for _, id := range n.Cone(root) {
-			live[id] = true
-		}
-	}
+	live := n.Live()
 	out := netlist.New(n.Name)
 	mapping := make([]int, n.NumGates())
 	for i := range mapping {

@@ -125,7 +125,7 @@ func rewriteSafe(n *netlist.Netlist, root int, h *hooks, gov *governor, order []
 			err = fmt.Errorf("%w: output %q: %v", ErrConePanic, n.NameOf(root), r)
 		}
 	}()
-	return rewriteOutput(n, root, h, gov, order)
+	return rewriteOutput(n, root, h, gov, order, nil)
 }
 
 // rewriteGoverned is the per-cone retry ladder: one attempt in the default

@@ -223,11 +223,11 @@ func TestAltOrderEquivalent(t *testing.T) {
 	// same dependency order, nothing more.
 	n := explodingNetlist(t, 6)
 	root := n.Outputs()[0]
-	def, err := rewriteOutput(n, root, nil, nil, nil)
+	def, err := rewriteOutput(n, root, nil, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	alt, err := rewriteOutput(n, root, nil, nil, altOrder(n, n.Cone(root)))
+	alt, err := rewriteOutput(n, root, nil, nil, altOrder(n, n.Cone(root)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

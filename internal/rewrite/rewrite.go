@@ -376,13 +376,19 @@ func (h *hooks) busyAdd(delta int64) {
 // Output rewrites the single output driven by gate root into its canonical
 // ANF over primary inputs (Algorithm 1 restricted to root's cone).
 func Output(n *netlist.Netlist, root int) (BitResult, error) {
-	return rewriteOutput(n, root, nil, nil, nil)
+	return rewriteOutput(n, root, nil, nil, nil, nil)
 }
+
+// substObserver sees every substitution rewriteOutput performs: the gate,
+// its model e, the polynomial f after mod-2 simplification and the number of
+// terms that cancelled in the step. TraceOutput is its only user.
+type substObserver func(id int, e, f anf.Poly, cancelled int)
 
 // rewriteOutput runs Algorithm 1 on root's cone. gov (may be nil) enforces
 // the per-cone resource policy; order (may be nil) overrides the default
-// descending sweep with an explicit reverse-topological schedule.
-func rewriteOutput(n *netlist.Netlist, root int, h *hooks, gov *governor, order []int) (BitResult, error) {
+// descending sweep with an explicit reverse-topological schedule; observe
+// (may be nil) is called after every substitution.
+func rewriteOutput(n *netlist.Netlist, root int, h *hooks, gov *governor, order []int, observe substObserver) (BitResult, error) {
 	start := time.Now()
 	br := BitResult{}
 	br.Bit = -1
@@ -392,7 +398,6 @@ func rewriteOutput(n *netlist.Netlist, root int, h *hooks, gov *governor, order 
 
 	f := anf.Variable(anf.Var(root))
 	br.PeakTerms = 1
-	varOf := func(id int) anf.Var { return anf.Var(id) }
 	if h != nil {
 		// On every exit path the bit's resident terms leave the working
 		// set — aborted cones must not leak into the live_terms gauge.
@@ -419,7 +424,7 @@ func rewriteOutput(n *netlist.Netlist, root int, h *hooks, gov *governor, order 
 			br.Status = st
 			return false, err
 		}
-		e, err := n.GateANF(id, varOf)
+		e, err := n.GateANF(id)
 		if err != nil {
 			return false, fmt.Errorf("rewrite: gate %d (%s): %w", id, n.NameOf(id), err)
 		}
@@ -434,6 +439,9 @@ func rewriteOutput(n *netlist.Netlist, root int, h *hooks, gov *governor, order 
 		br.Cancelled += cancelled
 		if after > br.PeakTerms {
 			br.PeakTerms = after
+		}
+		if observe != nil {
+			observe(id, e, f, cancelled)
 		}
 		if h != nil {
 			h.subst.Inc()

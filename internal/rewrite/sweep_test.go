@@ -48,13 +48,13 @@ func TestSweepMatchesDescendingCone(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/m%d", arch, m), func(t *testing.T) {
 				n := sweepDesign(t, arch, m)
 				for bit, root := range n.Outputs() {
-					sweep, err := rewriteOutput(n, root, nil, nil, nil)
+					sweep, err := rewriteOutput(n, root, nil, nil, nil, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
 					order := n.Cone(root)
 					slices.Reverse(order)
-					walk, err := rewriteOutput(n, root, nil, nil, order)
+					walk, err := rewriteOutput(n, root, nil, nil, order, nil)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -39,56 +39,20 @@ func FormatPoly(p anf.Poly, n *netlist.Netlist) string {
 // TraceOutput rewrites the single output driven by gate root exactly like
 // Output, but logs every iteration of Algorithm 1 to w in the style of the
 // paper's Figure 3: the gate substituted, the polynomial after mod-2
-// simplification, and the number of monomials cancelled in the step.
-// Intended for small designs (the full expression is printed per step).
+// simplification, and the number of monomials cancelled in the step — the
+// shortfall of the k·|e| expansion, always even since collisions vanish in
+// pairs. Intended for small designs (the full expression is printed per
+// step).
 func TraceOutput(n *netlist.Netlist, root int, w io.Writer) (BitResult, error) {
-	br := BitResult{}
-	f := anf.Variable(anf.Var(root))
-	br.PeakTerms = 1
-	varOf := func(id int) anf.Var { return anf.Var(id) }
 	fmt.Fprintf(w, "F0 = %s\n", n.NameOf(root))
-
-	var err error
-	br.ConeGates, err = n.Descend(root, func(id int) (bool, error) {
-		g := n.Gate(id)
-		if g.Type == netlist.Input {
-			return false, nil
-		}
-		v := anf.Var(id)
-		k := f.VarOccurrences(v)
-		if k == 0 {
-			return false, nil
-		}
-		e, err := n.GateANF(id, varOf)
-		if err != nil {
-			return false, err
-		}
-		before := f.Len()
-		f.Substitute(v, e)
-		br.Substitutions++
-		after := f.Len()
-		// Exact count of the terms the expansion produced: each of the k
-		// occurrences of v expands to |e| terms, so the pre-cancellation
-		// size is before-k+k·|e| and the shortfall is the number of mod-2
-		// cancellations ("2x"-style eliminations) — always an even number,
-		// since collisions vanish in pairs.
-		produced := before - k + k*e.Len()
-		br.Cancelled += produced - after
+	step := 0
+	return rewriteOutput(n, root, nil, nil, nil, func(id int, e, f anf.Poly, cancelled int) {
+		step++
 		elim := ""
-		if after < produced {
-			elim = fmt.Sprintf("   [%d terms cancelled mod 2]", produced-after)
+		if cancelled > 0 {
+			elim = fmt.Sprintf("   [%d terms cancelled mod 2]", cancelled)
 		}
 		fmt.Fprintf(w, "%-6s %s = %-24s F%d = %s%s\n",
-			n.NameOf(id)+":", g.Type, FormatPoly(e, n), br.Substitutions, FormatPoly(f, n), elim)
-		if after > br.PeakTerms {
-			br.PeakTerms = after
-		}
-		return true, nil
+			n.NameOf(id)+":", n.Gate(id).Type, FormatPoly(e, n), step, FormatPoly(f, n), elim)
 	})
-	if err != nil {
-		return br, err
-	}
-	br.Expr = f
-	br.FinalTerms = f.Len()
-	return br, nil
 }

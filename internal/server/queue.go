@@ -73,9 +73,6 @@ type Config struct {
 	// RetryBase/RetryCap shape the exponential backoff between attempts.
 	// Defaults 1s / 2m.
 	RetryBase, RetryCap time.Duration
-	// CheckpointThrottle is passed to each job's checkpoint manager
-	// (0 saves on every cone; <0 selects the package default).
-	CheckpointThrottle time.Duration
 	// Recorder receives queue metrics (jobs_* counters, queue_depth and
 	// jobs_running gauges) and per-job telemetry. nil creates a fresh one —
 	// the queue always records, because the SSE event stream and the live
@@ -942,7 +939,7 @@ func (q *Queue) extract(id string, deadlineNS int64) (*JobResult, error) {
 		Recorder: q.rec.JobRecorder(id),
 		// Resume is unconditional: with no snapshot on disk it is a cold
 		// start, and after a crash or drain it reuses the completed cones.
-		Checkpoint: checkpoint.NewManager(q.ckptDir(id), q.cfg.CheckpointThrottle),
+		Checkpoint: checkpoint.NewManager(q.ckptDir(id)),
 		Resume:     true,
 	}
 	start := time.Now()

@@ -227,7 +227,7 @@ func TestSpoolReplayAfterRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr := checkpoint.NewManager(filepath.Join(dir, id+ckptSuffix), 0)
+	mgr := checkpoint.NewManager(filepath.Join(dir, id+ckptSuffix))
 	if err := mgr.Begin(asParsed); err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestSpoolReplayAfterRestart(t *testing.T) {
 
 func TestDrainInterruptsAndNextStartResumes(t *testing.T) {
 	dir := t.TempDir()
-	q, err := NewQueue(Config{Dir: dir, CheckpointThrottle: 0, RetrySeed: 1})
+	q, err := NewQueue(Config{Dir: dir, RetrySeed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -497,7 +497,7 @@ func TestExtractShardedCancelledRunAssemblesByConsensus(t *testing.T) {
 		// A snapshot holding every cone but bit 0, and no worker to lease
 		// it: the cancelled wait leaves exactly bit 0 unsettled.
 		dir := t.TempDir()
-		mgr := checkpoint.NewManager(dir, 0)
+		mgr := checkpoint.NewManager(dir)
 		if err := mgr.Begin(n); err != nil {
 			t.Fatal(err)
 		}
@@ -510,7 +510,7 @@ func TestExtractShardedCancelledRunAssemblesByConsensus(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		ext, diag, _, err := Extract(n, extract.Options{
-			Ctx: ctx, Tolerate: tol, Checkpoint: checkpoint.NewManager(dir, 0), Resume: true,
+			Ctx: ctx, Tolerate: tol, Checkpoint: checkpoint.NewManager(dir), Resume: true,
 		}, ExtractOptions{Workers: -1})
 		if diag == nil || len(diag.FailedCones) != 1 || diag.FailedCones[0] != 0 {
 			t.Fatalf("tolerate %d: diagnosis %+v, want bit 0 failed", tol, diag)
